@@ -3,14 +3,14 @@
 
 Run from the root of the repository::
 
-    python3 bench/run.py --workload moles_l1 --seed 1 --seconds 40 --trace 0
-    python3 bench/run.py --workload sweep_svm --seed 1 --seconds 40 --trace 1
+    python3 bench/run.py --workload moles_l1 --seed 1 --seconds 36 --trace 0
+    python3 bench/run.py --workload sweep_svm --seed 1 --seconds 36 --trace 1
     python3 bench/run.py --selfcheck
 
 ``--trace 0`` repeats the workload's set-up and timed call, checking every
-result, until ``--seconds`` would be exceeded by one more, and reports the
-end-to-end metrics in reference seconds (wall seconds scaled by the
-machine-speed gauge of ``speed.py``).  ``--trace 1`` reports the
+result, for about ``--seconds`` (the whole number of calls that ends nearest
+to it), and reports the end-to-end metrics: median wall times and the peak
+RSS.  ``--trace 1`` reports the
 per-layer metrics, which are named by workload: kernel timings, then for
 every workload alternating untraced and traced solves with their span
 counts, self times and oracle counts; it ignores ``--seconds``.
@@ -26,7 +26,6 @@ import os
 import sys
 import time
 
-_START = time.perf_counter()
 # One BLAS thread, so that the timings measure the program and not the
 # scheduler.  This must happen before numpy is imported.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -38,6 +37,7 @@ import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import traceback  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -45,6 +45,7 @@ BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
 END_TO_END = {"solve_s": "s", "setup_s": "s", "peak_rss_mb": "MB"}
+IMPORT_SAMPLES = 9
 
 
 def load_modules():
@@ -58,9 +59,8 @@ def load_modules():
             sys.path.insert(0, path)
     import kernels
     import spans
-    import speed
     import workloads
-    return workloads, kernels, spans, speed
+    return workloads, kernels, spans
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +68,10 @@ def load_modules():
 # ---------------------------------------------------------------------------
 
 
-def one_run(workload, seed, tracer=None, clock=time.perf_counter):
+def one_run(workload, seed, tracer=None):
     """Set up, make the timed call, check; return set-up seconds, solve
     seconds and the check outcome."""
+    clock = time.perf_counter
     start = clock()
     case = workload.build(seed, tracer)
     try:
@@ -83,20 +84,13 @@ def one_run(workload, seed, tracer=None, clock=time.perf_counter):
     return built - start, solved - built, outcome
 
 
-def measure(workload, seed, seconds, speed):
-    """Repeat :func:`one_run` until one more would pass ``seconds``, with
-    the machine-speed gauge sampling throughout.
+def measure(workload, seed, seconds):
+    """Repeat :func:`one_run` while one more would end nearer to
+    ``seconds`` than stopping now does.
 
     Peak RSS is read after the first run: later runs repeat the same work,
     and the allocator's high-water mark should not depend on how many of
     them fit in ``seconds``."""
-    with speed.SpeedGauge() as gauge:
-        run = _repeat(workload, seed, seconds, gauge.now)
-    run["gauge"] = gauge
-    return run
-
-
-def _repeat(workload, seed, seconds, clock):
     setups, solves, laps, failures = [], [], [], []
     attempted = failed = 0
     info = {}
@@ -106,7 +100,7 @@ def _repeat(workload, seed, seconds, clock):
         attempted += 1
         lap = time.perf_counter()
         try:
-            setup_s, solve_s, outcome = one_run(workload, seed, clock=clock)
+            setup_s, solve_s, outcome = one_run(workload, seed)
         except Exception:
             traceback.print_exc()
             failed += 1
@@ -121,7 +115,7 @@ def _repeat(workload, seed, seconds, clock):
             failures += outcome.failures
             failed += 1
             break
-        if time.perf_counter() - start + statistics.median(laps) > seconds:
+        if time.perf_counter() - start + statistics.median(laps) / 2 > seconds:
             break
     return {"setups": setups, "solves": solves, "peak_rss_mb": peak_mb,
             "attempted": attempted, "failed": failed, "failures": failures, "info": info}
@@ -262,34 +256,43 @@ def emit(info: dict, correct: bool, attempted: int, failed: int, metrics: dict) 
 # ---------------------------------------------------------------------------
 
 
-def end_to_end(workload, speed, seed, seconds, import_s):
-    """End-to-end metrics in reference seconds (see ``speed.py``): the mean
-    solve and the set-up, scaled by the speed gauge sampled during the same
-    run.  Mean over mean cancels the machine's speed, which a median of a
-    two-speed mixture does not.  The raw wall times go to the info line."""
-    run = measure(workload, seed, seconds, speed)
+IMPORT_PROBE = ("import time; start = time.perf_counter(); import nsopt; "
+                "print(time.perf_counter() - start)")
+
+
+def import_seconds(samples: int) -> list[float]:
+    """Wall times of importing nsopt (and with it numpy) into a fresh
+    interpreter, each in its own process, waited for in turn."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return [float(subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, check=True,
+                                 capture_output=True, text=True).stdout)
+            for _ in range(samples)]
+
+
+def end_to_end(workload, seed, seconds, import_samples=IMPORT_SAMPLES):
+    """End-to-end metrics in wall seconds: the median solve, and the median
+    import time plus the median instance set-up.  Every wall time goes to
+    the info line."""
+    imports = import_seconds(import_samples)
+    run = measure(workload, seed, seconds)
     solves = run["solves"] or [0.0]
     setups = run["setups"] or [0.0]
-    scale = run["gauge"].scale()
-    setup_wall_s = import_s + statistics.median(setups)
     metrics = {
-        "solve_s": (statistics.mean(solves) * scale, "s"),
-        "setup_s": (setup_wall_s * scale, "s"),
+        "solve_s": (statistics.median(solves), "s"),
+        "setup_s": (statistics.median(imports) + statistics.median(setups), "s"),
         "peak_rss_mb": (run["peak_rss_mb"], "MB"),
     }
-    info = {"solves_wall_s": solves, "solve_wall_median_s": statistics.median(solves),
-            "setup_wall_s": setup_wall_s, "import_wall_s": import_s, "speed_scale": scale,
-            "gauge_chunks": len(run["gauge"].chunks), "failures": run["failures"],
-            **run["info"]}
+    info = {"solves_s": solves, "setups_s": setups, "imports_s": imports,
+            "failures": run["failures"], **run["info"]}
     return metrics, run["attempted"], run["failed"], info
 
 
-def selfcheck(workloads, kernels, spans, speed) -> list:
+def selfcheck(workloads, kernels, spans) -> list:
     """Every workload, check and metric at a tiny size; return the problems."""
     tiny = {name: cls(tiny=True) for name, cls in workloads.WORKLOADS.items()}
     problems = []
     for name, workload in tiny.items():
-        metrics, _, failed, info = end_to_end(workload, speed, 1, 0.0, 0.0)
+        metrics, _, failed, info = end_to_end(workload, 1, 0.0, import_samples=1)
         if failed or set(metrics) != set(END_TO_END):
             problems.append(f"{name}: end-to-end run failed: {info['failures']}")
     metrics, _, _, failures = trace_report(tiny, kernels, spans, 1, 20, pairs=1)
@@ -312,15 +315,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--seconds", type=float, default=36.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--selfcheck", action="store_true")
     args = parser.parse_args(argv)
-    workloads, kernels, spans, speed = load_modules()
-    import_s = time.perf_counter() - _START
+    workloads, kernels, spans = load_modules()
 
     if args.selfcheck:
-        problems = selfcheck(workloads, kernels, spans, speed)
+        problems = selfcheck(workloads, kernels, spans)
         for problem in problems:
             print(f"selfcheck: {problem}", file=sys.stderr)
         print("selfcheck " + ("failed" if problems else "ok"))
@@ -341,8 +343,7 @@ def main(argv=None) -> int:
         correct = failed == 0 and not failures
     else:
         workload = workloads.WORKLOADS[args.workload]()
-        metrics, attempted, failed, extra = end_to_end(workload, speed, args.seed,
-                                                       args.seconds, import_s)
+        metrics, attempted, failed, extra = end_to_end(workload, args.seed, args.seconds)
         info.update(extra)
         correct = failed == 0
     emit(info, correct, attempted, failed, metrics)

@@ -5,13 +5,15 @@ one timed call through the public API (the solve), and checks what comes
 back: exact oracle counts against their closed forms, feasibility of the
 returned iterate, and accuracy.
 
-A seed changes the input bytes but not the amount of work, so the spread
-between runs measures the machine rather than the inputs:
+A seed changes the input bytes and leaves the amount of work almost
+unchanged, so the spread between runs measures the machine rather than the
+inputs:
 
 * ``moles_l1`` and ``moles_nuclear`` permute the coordinates, pieces or
   samples of one fixed instance.  The permuted problem is isomorphic to
   the original: same optimum, same schedule, same oracle counts.  The seed
-  also drives the nuclear LMO's power-iteration stream.
+  also drives the nuclear LMO's power-iteration stream, which moves the
+  number of power iterations by about 2 %.
 * ``sweep_svm`` passes the seed as the experiment seed, which draws the
   start points and the minibatches; its counts do not depend on either.
 """
@@ -122,15 +124,21 @@ class MolesCase:
     config: SolverConfig
     x0: np.ndarray
     dist: float
-    f_target: float
+    f_target: float          # the gap is measured against this value
 
 
 class MolesWorkload:
-    """``moles`` with the deterministic first-order oracle, fixed FW budget."""
+    """``moles`` with the deterministic first-order oracle, fixed FW budget.
+
+    The gap must lie in ``[-gap_slack, eps]``.  The target is a certified
+    minimum, so a gap below ``-gap_slack`` (rounding) means that the
+    objective or the stored target is wrong.
+    """
 
     spans = ("solve", "prox_slide", "fo", "fw_projection", "lmo", "trace_value")
     trace_pairs = 3
     radius = 1.0
+    gap_slack = 1e-9
 
     def __init__(self, eps: float):
         self.eps = eps
@@ -190,6 +198,9 @@ class MolesWorkload:
             gap = case.problem.value(x) - case.f_target
             if not gap <= self.eps:
                 failures.append(f"gap {gap:.6g} exceeds eps {self.eps}")
+            if not gap >= -self.gap_slack:
+                failures.append(f"gap {gap:.6g} is below -{self.gap_slack}: "
+                                "the target value is not a lower bound")
         return Outcome(counts, failures, {"gap": gap, "eps": self.eps})
 
     def close(self, case) -> None:
@@ -231,8 +242,14 @@ class MolesL1(MolesWorkload):
 
 
 class MolesNuclear(MolesWorkload):
-    """Matrix hinge SVM (data seed 7) over the unit nuclear ball.  The gap is
-    taken against a stored reference value (``reference_nuclear.json``)."""
+    """Matrix hinge SVM (data seed 7) over the unit nuclear ball.
+
+    The gap is taken against a stored reference value
+    (``reference_nuclear.json``, written by ``make_reference.py``): the best
+    value of a projected subgradient solve, stored with the certified lower
+    bound that a subgradient at its certificate point gives.  The two must
+    agree to within ``gap_slack``, so the stored value is the minimum.
+    """
 
     name = "moles_nuclear"
     data_seed = 7
@@ -241,7 +258,7 @@ class MolesNuclear(MolesWorkload):
     def __init__(self, tiny: bool = False):
         super().__init__(2.0 if tiny else 1.0)
         self.samples, self.shape = (20, (4, 4)) if tiny else (100, (10, 10))
-        self._f_ref = None
+        self._stored = None
 
     def base_problem(self) -> MatrixSvmInstance:
         m, p = self.shape
@@ -252,21 +269,35 @@ class MolesNuclear(MolesWorkload):
         return {"n": self.samples, "rows": self.shape[0], "cols": self.shape[1],
                 "data_seed": self.data_seed, "radius": self.radius}
 
-    def reference(self, budget: int, seed: int = 0) -> float:
-        """Best value of a ``budget``-step reference solve on the base instance."""
-        ball = nuclear_ball(*self.shape, self.radius)
-        f_ref, _ = reference_optimum(self.base_problem(), ball, budget, seed=seed)
-        return f_ref
+    def reference(self, budget: int, seed: int = 0) -> tuple[float, float]:
+        """Best value of a ``budget``-step reference solve on the base
+        instance, and a certified lower bound on the minimum.
 
-    def f_ref(self) -> float:
-        if self._f_ref is None:
-            stored = json.loads(NUCLEAR_REFERENCE.read_text())
-            if stored["instance"] == self.describe():
-                self._f_ref = float(stored["f_ref"])
-            else:
-                # Sizes without a stored value (the self-check) solve for one.
-                self._f_ref = self.reference(10 ** 4)
-        return self._f_ref
+        With ``g`` a subgradient at the reference point ``x``, convexity gives
+        ``f(y) >= f(x) + <g, y - x>`` for every ``y`` in the ball, whose least
+        right-hand side is ``f(x) - <g, x> - radius * sigma_max(g)``.
+        """
+        ball = nuclear_ball(*self.shape, self.radius)
+        problem = self.base_problem()
+        f_ref, x = reference_optimum(problem, ball, budget, seed=seed)
+        value, g = problem.value_and_subgradient(x)
+        sigma_max = np.linalg.svd(g.reshape(self.shape), compute_uv=False)[0]
+        return f_ref, float(value - g @ x - self.radius * sigma_max)
+
+    def stored(self) -> dict:
+        """The stored reference record of this instance."""
+        if self._stored is None:
+            records = json.loads(NUCLEAR_REFERENCE.read_text())["references"]
+            matches = [r for r in records if r["instance"] == self.describe()]
+            if not matches:
+                raise LookupError(f"no stored reference for {self.describe()}; "
+                                  "run bench/make_reference.py")
+            record = matches[0]
+            if not record["f_ref"] - record["lower_bound"] <= self.gap_slack:
+                raise ValueError(f"stored reference {record['f_ref']} is not certified: "
+                                 f"the lower bound is {record['lower_bound']}")
+            self._stored = record
+        return self._stored
 
     def instance(self, seed):
         m, p = self.shape
@@ -278,7 +309,7 @@ class MolesNuclear(MolesWorkload):
         ball = nuclear_ball(m, p, self.radius)
         start = ball.boundary_point(philox(self.start_key)).reshape(m, p)
         x0 = start[rows][:, cols].ravel()
-        return problem, ball, x0, 1.0, self.f_ref(), philox((seed, 3))
+        return problem, ball, x0, 1.0, self.stored()["f_ref"], philox((seed, 3))
 
     def set_norm(self, x):
         return float(np.linalg.svd(x.reshape(self.shape), compute_uv=False).sum())
