@@ -7,6 +7,8 @@ with far fewer set-oracle calls than projected subgradient baselines; the
 harness measures those separations on desk-scale problems.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import ConfigError, FormatError, NumericalError
 from .geometry import (
     SetDescriptor,
@@ -29,21 +31,13 @@ from .harness import (
     reference_optimum,
     run_experiment,
 )
-from .moreau import (
-    JointObjective,
-    ProxResult,
-    envelope_gradient,
-    grad_psi,
-    joint_value,
-    prox_subgradient,
-)
+from .moreau import ProxResult, prox_subgradient
 from .oracles import (
     FirstOrderOracle,
     LinearMinimizationOracle,
     OracleCounters,
     ProjectionOracle,
     StochasticFirstOrderOracle,
-    as_stochastic,
     estimate_variance,
     minibatch_sfo,
     wrap_counting,
@@ -53,10 +47,7 @@ from .problems import (
     HingeSvmInstance,
     MatrixSvmInstance,
     PiecewiseLinearInstance,
-    hinge_value_and_subgradient,
-    lipschitz_bound,
     load_dense_csv,
-    matrix_hinge_value_and_subgradient,
     save_dense_csv,
     synth_hinge_data,
     synth_piecewise_linear,
@@ -72,10 +63,11 @@ from .solvers import (
     fw_quadratic_projection,
     moles,
     mopes,
-    moreau_subgradient_general,
     pgd,
     prox_slide,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above; the submodules bound as a side effect stay out.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 __version__ = "0.1.0"

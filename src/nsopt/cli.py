@@ -37,7 +37,9 @@ from .harness import (
 
 def _print_slope_report(report) -> None:
     for label, entry in sorted(report.solvers.items()):
-        if math.isnan(entry.slope):
+        if entry.unused:
+            print(f"{report.metric}\t{label}\tmetric unused")
+        elif math.isnan(entry.slope):
             print(f"{report.metric}\t{label}\tslope=nan (fewer than 3 reachable accuracies)")
         else:
             pts = ", ".join(f"{eps:g}:{calls:g}" for eps, calls in sorted(entry.points.items()))

@@ -16,6 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,15 +38,41 @@ from .solvers import (
     moles,
     mopes,
     pgd,
+    write_csv_rows,
 )
 
 OUTPUT_DIR_ENV = "NSOPT_OUTPUT_DIR"
 
-SOLVER_NAMES = ("mopes", "moles", "pgd", "fw_pgd")
-
 # Library defaults are c = c' = 1; the preset below mirrors a tuned large
 # experiment configuration and can be selected per solver with "preset".
 PRESETS = {"default": {"c": 1.0, "cprime": 1.0}, "tuned": {"c": 40.0, "cprime": 1.0}}
+
+# Every key the harness reads: at the top level, per problem kind and per
+# solver.  Any other key is rejected, so a typo cannot fall back to a default.
+CONFIG_KEYS = {"seed", "output_dir", "repetitions", "epsilons", "reference_budget",
+               "problem", "solvers", "record_wall_time"}
+_PROBLEM_SHARED = {"kind", "set", "radius", "g_override"}
+PROBLEM_KEYS = {
+    "piecewise_linear": _PROBLEM_SHARED | {"d", "pieces", "seed", "anchor"},
+    "hinge_svm": _PROBLEM_SHARED | {"n", "d", "seed", "add_bias", "data_path"},
+    "matrix_svm": _PROBLEM_SHARED | {"n", "rows", "cols", "seed"},
+}
+_SOLVER_SHARED = {"name", "batch_size"}
+_SPLITTING = _SOLVER_SHARED | {"sigma_override", "preset", "c", "cprime", "dist_estimate",
+                               "domain_radius", "project_inner"}
+SOLVER_KEYS = {
+    "mopes": _SPLITTING,
+    "moles": _SPLITTING | {"projection_mode"},
+    "pgd": _SOLVER_SHARED | {"steps", "stepsize_rule", "trace_every"},
+    "fw_pgd": _SOLVER_SHARED | {"sigma_override", "steps", "mode", "trace_every", "max_lmo",
+                                "target_gap"},
+}
+
+
+def _reject_unknown_keys(where: str, given, known: set) -> None:
+    unknown = sorted(set(given) - known)
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
 
 
 @dataclass
@@ -63,6 +90,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        _reject_unknown_keys("config", raw, CONFIG_KEYS)
         try:
             cfg = cls(
                 seed=int(raw.get("seed", 0)),
@@ -76,6 +104,10 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"missing config key: {exc.args[0]}") from None
+        kind = cfg.problem.get("kind")
+        if kind not in PROBLEM_KEYS:
+            raise ConfigError(f"unknown problem kind {kind!r}")
+        _reject_unknown_keys(f"{kind} problem", cfg.problem, PROBLEM_KEYS[kind])
         if cfg.repetitions < 1:
             raise ConfigError("repetitions must be at least 1")
         if not cfg.epsilons or any(e <= 0 for e in cfg.epsilons):
@@ -83,12 +115,12 @@ class ExperimentConfig:
         if len(set(cfg.epsilons)) != len(cfg.epsilons):
             raise ConfigError("epsilons must be distinct")
         for spec in cfg.solvers:
-            if spec.get("name") not in SOLVER_NAMES:
+            if spec.get("name") not in SOLVER_KEYS:
                 raise ConfigError(f"unknown solver {spec.get('name')!r}; "
-                                  f"registered: {', '.join(SOLVER_NAMES)}")
-            preset = spec.get("preset")
-            if preset is not None and preset not in PRESETS:
-                raise ConfigError(f"unknown preset {preset!r}")
+                                  f"registered: {', '.join(SOLVER_KEYS)}")
+            _reject_unknown_keys(f"{spec['name']} solver", spec, SOLVER_KEYS[spec["name"]])
+            if spec.get("preset", "default") not in PRESETS:
+                raise ConfigError(f"unknown preset {spec['preset']!r}")
         return cfg
 
 
@@ -187,34 +219,38 @@ def _seed_int(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, dtype=np.uint64)[0])
 
 
+def _philox(key: list[int]) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+
+
 def _run_single(spec: dict, problem, descriptor: SetDescriptor, lipschitz: float,
                 eps: float, eps_index: int, solver_index: int, rep: int,
                 global_seed: int, f_ref: float):
     """Execute one (solver, accuracy, repetition) run and return its trace."""
     name = spec["name"]
-    preset = PRESETS[spec["preset"]] if "preset" in spec else {}
-    c = float(spec.get("c", preset.get("c", 1.0)))
-    cprime = float(spec.get("cprime", preset.get("cprime", 1.0)))
     run_seed = _seed_int(global_seed, solver_index, eps_index, rep)
     # Starting points are shared across solvers and accuracies for a given
     # repetition, mirroring mean-over-runs plots with common starts.
-    x0_rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([global_seed, 1000003, rep])))
-    x0 = descriptor.boundary_point(x0_rng)
+    x0 = descriptor.boundary_point(_philox([global_seed, 1000003, rep]))
+    po = ProjectionOracle.from_set(descriptor)
+    lmo = LinearMinimizationOracle.from_set(
+        descriptor, rng=_philox([global_seed, 2000003, solver_index, eps_index, rep]))
 
     batch_size = spec.get("batch_size")
     if batch_size:
-        sfo = minibatch_sfo(problem, int(batch_size))
-        oracle = sfo
-        sigma = math.sqrt(sfo.variance_bound)
+        oracle = minibatch_sfo(problem, int(batch_size))
+        sigma = math.sqrt(oracle.variance_bound)
     else:
         oracle = FirstOrderOracle.from_instance(problem)
         oracle.lipschitz_bound = lipschitz
         sigma = 0.0
     sigma = float(spec.get("sigma_override", sigma))
 
-    dist_estimate = spec.get("dist_estimate")
     if name in ("mopes", "moles"):
+        preset = PRESETS[spec["preset"]] if "preset" in spec else {}
+        c = float(spec.get("c", preset.get("c", 1.0)))
+        cprime = float(spec.get("cprime", preset.get("cprime", 1.0)))
+        dist_estimate = spec.get("dist_estimate")
         config = SolverConfig.from_target(
             eps, lipschitz, descriptor.diameter, method=name, c=c, cprime=cprime,
             sigma=sigma, seed=run_seed,
@@ -224,17 +260,10 @@ def _run_single(spec: dict, problem, descriptor: SetDescriptor, lipschitz: float
             projection_mode=spec.get("projection_mode", "budget"),
         )
         if name == "mopes":
-            po = ProjectionOracle.from_set(descriptor)
-            result = mopes(problem, oracle, po, config, x0, f_ref=f_ref)
-        else:
-            lmo_rng = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence([global_seed, 2000003, solver_index, eps_index, rep])))
-            lmo = LinearMinimizationOracle.from_set(descriptor, rng=lmo_rng)
-            result = moles(problem, oracle, lmo, config, x0, f_ref=f_ref)
-        return result
+            return mopes(problem, oracle, po, config, x0, f_ref=f_ref)
+        return moles(problem, oracle, lmo, config, x0, f_ref=f_ref)
     if name == "pgd":
         steps = int(spec.get("steps", 10 ** 4))
-        po = ProjectionOracle.from_set(descriptor)
         return pgd(problem, oracle, po, x0, steps, lipschitz, descriptor.diameter,
                    stepsize_rule=spec.get("stepsize_rule", "fixed"), seed=run_seed,
                    f_ref=f_ref, trace_every=int(spec.get("trace_every", 1)))
@@ -242,9 +271,6 @@ def _run_single(spec: dict, problem, descriptor: SetDescriptor, lipschitz: float
         noise = math.sqrt(lipschitz ** 2 + sigma ** 2)
         default_steps = math.ceil((2.0 * noise * descriptor.diameter / eps) ** 2)
         steps = int(spec.get("steps", default_steps))
-        lmo_rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence([global_seed, 2000003, solver_index, eps_index, rep])))
-        lmo = LinearMinimizationOracle.from_set(descriptor, rng=lmo_rng)
         return fw_pgd(problem, oracle, lmo, x0, steps, lipschitz, sigma,
                       descriptor.diameter, mode=spec.get("mode", "budget"),
                       seed=run_seed, f_ref=f_ref,
@@ -302,11 +328,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 manifest["runs"].append({"run": run_id, "status": "ok"})
                 groups.setdefault((label, eps), []).append(result.trace)
     agg_path = os.path.join(out_dir, "aggregate.csv")
-    with open(agg_path, "w", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for (label, eps), traces in groups.items():
-            for row in _aggregate_rows(label, eps, traces, config.seed):
-                fh.write(row + "\n")
+    write_csv_rows(agg_path, [row for (label, eps), traces in groups.items()
+                              for row in _aggregate_rows(label, eps, traces, config.seed)])
     manifest["files"].append(agg_path)
     return manifest
 
@@ -324,6 +347,7 @@ class SolverSlope:
     residual: float
     points: dict[float, float]
     excluded: list[float] = field(default_factory=list)
+    unused: bool = False  # the solver never calls this oracle
 
 
 @dataclass
@@ -362,13 +386,17 @@ def fit_slopes(traces: dict[str, dict[float, list]], metric: str) -> SlopeReport
     ``traces`` maps solver label to {eps: trace rows}; the count for each
     accuracy is the metric value at the first row reaching that gap.
     Solvers need at least 3 reachable accuracies; unreachable ones are
-    excluded and flagged.
+    excluded and flagged.  A solver whose count is zero in every row is
+    marked ``unused`` instead: it never calls that oracle.
     """
     if metric not in METRIC_COLUMNS:
         raise ConfigError(f"unknown metric {metric!r}; one of {', '.join(METRIC_COLUMNS)}")
     column = METRIC_COLUMNS[metric]
     report = SlopeReport(metric=metric, solvers={})
     for label, per_eps in traces.items():
+        if all(getattr(row, column) == 0 for rows in per_eps.values() for row in rows):
+            report.solvers[label] = SolverSlope(float("nan"), float("nan"), {}, unused=True)
+            continue
         points: dict[float, float] = {}
         excluded: list[float] = []
         for eps, rows in per_eps.items():
@@ -389,15 +417,6 @@ def fit_slopes(traces: dict[str, dict[float, list]], metric: str) -> SlopeReport
 
 def _parse_aggregate(path: str) -> dict[str, dict[float, list]]:
     """Group aggregate CSV rows back into {solver: {eps: rows}}."""
-
-    class Row:
-        __slots__ = ("gap", "fo_calls", "sfo_calls", "po_calls", "lmo_calls")
-
-        def __init__(self, fo, sfo, po, lmo, gap):
-            self.fo_calls, self.sfo_calls = fo, sfo
-            self.po_calls, self.lmo_calls = po, lmo
-            self.gap = gap
-
     grouped: dict[str, dict[float, list]] = {}
     with open(path) as fh:
         header = fh.readline().strip()
@@ -410,8 +429,9 @@ def _parse_aggregate(path: str) -> dict[str, dict[float, list]]:
                 raise ConfigError(f"{path}: row tag {tag!r} lacks an accuracy marker")
             label, eps_part = tag.split("|eps=", 1)
             eps = float(eps_part)
-            row = Row(float(parts[2]), float(parts[3]), float(parts[4]),
-                      float(parts[5]), float(parts[7]))
+            row = SimpleNamespace(fo_calls=float(parts[2]), sfo_calls=float(parts[3]),
+                                  po_calls=float(parts[4]), lmo_calls=float(parts[5]),
+                                  gap=float(parts[7]))
             grouped.setdefault(label, {}).setdefault(eps, []).append(row)
     return grouped
 

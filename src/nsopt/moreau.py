@@ -6,11 +6,6 @@ ball ``B(0, R)`` is ``f_lam(x) = min_{x' in B(0,R)} f(x') + ||x - x'||^2 /
 ``(x - prox(x)) / lam``.  The prox point is never assumed available in
 closed form; it is approximated by a proximal subgradient method that only
 needs first-order access to ``f``.
-
-The joint objective ``f(x') + ||x - x'||^2 / (2 lam)`` over pairs
-``(x, x')`` splits set access from function access; its smooth part is
-``(2/lam)``-smooth in the joint variable, and the block gradients are
-antisymmetric.
 """
 
 from __future__ import annotations
@@ -32,61 +27,6 @@ class ProxResult:
     point: np.ndarray
     value: float
     iterations: int
-
-
-@dataclass
-class JointObjective:
-    """The split objective ``f(x') + ||x - x'||^2 / (2 lam)`` over the
-    enclosing ball, bundling the oracle, the smoothing parameter, and the
-    ball radius."""
-
-    oracle: FirstOrderOracle
-    lam: float
-    radius: float
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("smoothing parameter must be positive")
-        if self.radius <= 0:
-            raise ValueError("enclosing radius must be positive")
-
-    def value(self, x: np.ndarray, x_prime: np.ndarray) -> float:
-        return joint_value(self.oracle, x, x_prime, self.lam)
-
-    def gradients(self, x: np.ndarray, x_prime: np.ndarray):
-        return grad_psi(x, x_prime, self.lam)
-
-    def prox(self, x: np.ndarray, iterations: int,
-             dist_estimate: float | None = None) -> ProxResult:
-        return prox_subgradient(self.oracle, x, self.lam, iterations,
-                                self.radius, dist_estimate)
-
-    def envelope_gradient(self, x: np.ndarray, iterations: int,
-                          dist_estimate: float | None = None) -> np.ndarray:
-        return envelope_gradient(self.oracle, x, self.lam, iterations,
-                                 self.radius, dist_estimate)
-
-
-def joint_value(fo: FirstOrderOracle, x: np.ndarray, x_prime: np.ndarray,
-                lam: float) -> float:
-    """Joint objective ``f(x') + ||x - x'||^2 / (2 lam)``; one FO call."""
-    if lam <= 0:
-        raise ValueError("smoothing parameter must be positive")
-    fval, _ = fo.evaluate(x_prime)
-    diff = np.asarray(x, dtype=float) - np.asarray(x_prime, dtype=float)
-    return float(fval + float(diff @ diff) / (2.0 * lam))
-
-
-def grad_psi(x: np.ndarray, x_prime: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Block gradients of the smooth coupling ``||x - x'||^2 / (2 lam)``.
-
-    Returns ``((x - x') / lam, (x' - x) / lam)``; the blocks always sum to
-    zero.  No oracle calls.
-    """
-    if lam <= 0:
-        raise ValueError("smoothing parameter must be positive")
-    g = (np.asarray(x, dtype=float) - np.asarray(x_prime, dtype=float)) / lam
-    return g, -g
 
 
 def prox_subgradient(fo: FirstOrderOracle, x: np.ndarray, lam: float,
@@ -132,11 +72,3 @@ def prox_subgradient(fo: FirstOrderOracle, x: np.ndarray, lam: float,
     envelope = float(fval + float(diff @ diff) / (2.0 * lam))
     return ProxResult(point=averaged, value=envelope, iterations=iterations)
 
-
-def envelope_gradient(fo: FirstOrderOracle, x: np.ndarray, lam: float,
-                      iterations: int, radius: float,
-                      dist_estimate: float | None = None) -> np.ndarray:
-    """Gradient of the envelope, ``(x - prox(x)) / lam``, with the prox
-    point approximated by ``prox_subgradient`` under the given budget."""
-    result = prox_subgradient(fo, x, lam, iterations, radius, dist_estimate)
-    return (np.asarray(x, dtype=float) - result.point) / lam

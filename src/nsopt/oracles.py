@@ -3,9 +3,9 @@
 Four oracle kinds drive every solver in this package: a first-order oracle
 (FO) returning function value and one subgradient, its stochastic variant
 (SFO) returning an unbiased subgradient estimate, a projection oracle (PO)
-for the constraint set, and a linear minimization oracle (LMO).  Counting
-wrappers tally invocations without altering results, so oracle-call
-complexity can be measured exactly.
+for the constraint set, and a linear minimization oracle (LMO).
+``wrap_counting`` is the one place where calls are tallied; it never alters
+results, so oracle-call complexity can be measured exactly.
 
 Oracle objects are immutable after construction and safe to share across
 concurrent reads; counters and random streams are per-run mutable state
@@ -107,78 +107,50 @@ class LinearMinimizationOracle:
         return cls(lambda g: descriptor.lmo(g, rng=rng), descriptor)
 
 
-class CountingFirstOrderOracle(FirstOrderOracle):
-    def __init__(self, inner: FirstOrderOracle, counters: OracleCounters):
-        super().__init__(inner.evaluate, inner.lipschitz_bound)
-        self.inner = inner
-        self.counters = counters
-
-    def evaluate(self, x):
-        self.counters.fo_calls += 1
-        return self.inner.evaluate(x)
-
-
-class CountingStochasticFirstOrderOracle(StochasticFirstOrderOracle):
-    def __init__(self, inner: StochasticFirstOrderOracle, counters: OracleCounters):
-        super().__init__(inner.sample, inner.variance_bound, rng=inner._rng)
-        self.inner = inner
-        self.counters = counters
-
-    def sample(self, x, rng=None):
-        self.counters.sfo_calls += 1
-        return self.inner.sample(x, rng)
-
-
-class CountingProjectionOracle(ProjectionOracle):
-    def __init__(self, inner: ProjectionOracle, counters: OracleCounters):
-        super().__init__(inner.project, inner.set_descriptor)
-        self.inner = inner
-        self.counters = counters
-
-    def project(self, x):
-        self.counters.po_calls += 1
-        return self.inner.project(x)
-
-
-class CountingLinearMinimizationOracle(LinearMinimizationOracle):
-    def __init__(self, inner: LinearMinimizationOracle, counters: OracleCounters):
-        super().__init__(inner.minimize, inner.set_descriptor)
-        self.inner = inner
-        self.counters = counters
-
-    def minimize(self, direction):
-        self.counters.lmo_calls += 1
-        return self.inner.minimize(direction)
-
-
 def wrap_counting(oracle, counters: OracleCounters):
-    """Wrap an oracle so each delegated call increments exactly one tally.
+    """Return a plain oracle of the same kind whose every call increments
+    exactly one tally of ``counters``.
 
-    Returned values are passed through untouched, so wrapped and unwrapped
-    oracles are numerically indistinguishable.
+    The copy is built around a closure over the function the original
+    oracle was built around (not over its methods), so a counted query
+    costs one Python call more than an uncounted one.  Returned values are
+    passed through untouched, so wrapped and unwrapped oracles are
+    numerically indistinguishable; bounds, descriptors and the default
+    random stream carry over.
     """
     if isinstance(oracle, FirstOrderOracle):
-        return CountingFirstOrderOracle(oracle, counters)
+        evaluate = oracle._evaluate
+
+        def counted_evaluate(x):
+            counters.fo_calls += 1
+            return evaluate(x)
+
+        return FirstOrderOracle(counted_evaluate, oracle.lipschitz_bound)
     if isinstance(oracle, StochasticFirstOrderOracle):
-        return CountingStochasticFirstOrderOracle(oracle, counters)
+        sample = oracle._sample
+
+        def counted_sample(x, rng):
+            counters.sfo_calls += 1
+            return sample(x, rng)
+
+        return StochasticFirstOrderOracle(counted_sample, oracle.variance_bound, oracle._rng)
     if isinstance(oracle, ProjectionOracle):
-        return CountingProjectionOracle(oracle, counters)
+        project = oracle._project
+
+        def counted_project(x):
+            counters.po_calls += 1
+            return project(x)
+
+        return ProjectionOracle(counted_project, oracle.set_descriptor)
     if isinstance(oracle, LinearMinimizationOracle):
-        return CountingLinearMinimizationOracle(oracle, counters)
+        minimize = oracle._minimize
+
+        def counted_minimize(direction):
+            counters.lmo_calls += 1
+            return minimize(direction)
+
+        return LinearMinimizationOracle(counted_minimize, oracle.set_descriptor)
     raise TypeError(f"cannot wrap object of type {type(oracle).__name__}")
-
-
-def as_stochastic(fo: FirstOrderOracle) -> StochasticFirstOrderOracle:
-    """View a deterministic oracle as a zero-variance stochastic one.
-
-    Sampling through the view still routes calls through ``fo``, so a
-    counting wrapper underneath keeps tallying ``fo_calls``.
-    """
-
-    def sample(x, _rng):
-        return fo.evaluate(x)[1]
-
-    return StochasticFirstOrderOracle(sample, variance_bound=0.0, rng=np.random.default_rng(0))
 
 
 def minibatch_sfo(problem, batch_size: int, rng=None) -> StochasticFirstOrderOracle:

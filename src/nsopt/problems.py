@@ -42,10 +42,6 @@ class PiecewiseLinearInstance:
         return self.slopes.shape[1]
 
     @property
-    def n_pieces(self) -> int:
-        return self.slopes.shape[0]
-
-    @property
     def lipschitz_bound(self) -> float:
         return float(np.linalg.norm(self.slopes, axis=1).max())
 
@@ -179,21 +175,6 @@ class MatrixSvmInstance:
             raise ValueError(f"expected matrix of shape {self.shape}, got {x_mat.shape}")
         value, grad = self._flat.value_and_subgradient(x_mat.ravel())
         return value, grad.reshape(self.shape)
-
-
-def hinge_value_and_subgradient(instance: HingeSvmInstance, x: np.ndarray):
-    """Hinge-loss value and the tie-broken subgradient at ``x``."""
-    return instance.value_and_subgradient(np.asarray(x, dtype=float))
-
-
-def matrix_hinge_value_and_subgradient(instance: MatrixSvmInstance, x_mat: np.ndarray):
-    """Matrix hinge-loss value and subgradient, in matrix shape."""
-    return instance.matrix_value_and_subgradient(x_mat)
-
-
-def lipschitz_bound(instance) -> float:
-    """Certified upper bound on subgradient norms over the ambient space."""
-    return float(instance.lipschitz_bound)
 
 
 def synth_piecewise_linear(dim: int, pieces: int, seed: int,

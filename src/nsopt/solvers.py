@@ -18,10 +18,12 @@ subgradient descent with Frank-Wolfe approximated projections
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,8 +87,8 @@ class SolverConfig:
     @property
     def fw_budget(self) -> int:
         """Fixed Frank-Wolfe budget per approximate projection."""
-        return math.ceil(7.0 * self.outer_steps * self.set_diameter ** 2
-                         / (self.cprime * self.d_tilde))
+        return compute_schedule(self.lam, self.outer_steps, 1, 1, self.lipschitz, self.sigma,
+                                self.set_diameter, self.d_tilde, self.cprime).fw_budget
 
     @classmethod
     def from_target(cls, eps: float, lipschitz: float, set_diameter: float,
@@ -186,22 +188,9 @@ class RunTrace:
     seed: int
     records: list[TraceRecord] = field(default_factory=list)
 
-    def append(self, record: TraceRecord) -> None:
-        self.records.append(record)
-
     @property
     def final(self) -> TraceRecord:
         return self.records[-1]
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
-
-    def first_reaching(self, gap: float) -> TraceRecord | None:
-        """First record whose gap is at or below the threshold."""
-        for record in self.records:
-            if record.gap <= gap:
-                return record
-        return None
 
     def csv_rows(self, wall_clock: bool = False) -> list[str]:
         """Rows in the stable CSV schema.
@@ -220,10 +209,26 @@ class RunTrace:
         return rows
 
     def write_csv(self, path, wall_clock: bool = False) -> None:
-        with open(path, "w", newline="") as fh:
+        write_csv_rows(path, self.csv_rows(wall_clock=wall_clock))
+
+
+def write_csv_rows(path, rows) -> None:
+    """Write the CSV header and ``rows`` to ``path`` atomically.
+
+    The rows go to a temporary file in the target directory, which then
+    replaces ``path`` in one step; a write that fails part-way leaves
+    ``path`` as it was and removes the temporary file.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
-            for row in self.csv_rows(wall_clock=wall_clock):
-                fh.write(row + "\n")
+            fh.writelines(row + "\n" for row in rows)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 @dataclass
@@ -234,7 +239,6 @@ class SolverResult:
     counters: OracleCounters
     x_best: np.ndarray | None = None
     f_best: float | None = None
-    x_average: np.ndarray | None = None
     iterates: list[np.ndarray] | None = None
 
 
@@ -244,60 +248,66 @@ class SolverResult:
 
 
 class _SubgradientSource:
-    """Dispatch subgradient queries to a deterministic or stochastic oracle,
-    bumping the matching counter.
+    """Subgradient queries on a counted deterministic or stochastic oracle.
 
-    Builds flat closures around the oracle's bound methods so the inner
-    loops pay one function call per query; the tallies are identical to
-    routing through counting wrappers.
+    ``sample(x, rng)`` returns a subgradient (estimate) and
+    ``sample_with_value(x, rng)`` the pair ``(f(x), g)``, with ``None`` in
+    place of the value for a stochastic oracle.  Both call the counting
+    closure directly, so a query costs one adapter call on top of it.
     """
 
     def __init__(self, oracle, counters: OracleCounters):
-        if isinstance(oracle, StochasticFirstOrderOracle):
-            inner_sample = oracle.sample
-            self.sigma_bound = math.sqrt(oracle.variance_bound)
-
-            def sample(x, rng):
-                counters.sfo_calls += 1
-                return inner_sample(x, rng)
-
-            def sample_with_value(x, rng):
-                counters.sfo_calls += 1
-                return None, inner_sample(x, rng)
-
-        elif isinstance(oracle, FirstOrderOracle):
-            evaluate = oracle.evaluate
-            self.sigma_bound = 0.0
-
-            def sample(x, rng):
-                counters.fo_calls += 1
-                return evaluate(x)[1]
-
-            def sample_with_value(x, rng):
-                counters.fo_calls += 1
-                return evaluate(x)
-
+        counted = wrap_counting(oracle, counters)
+        if isinstance(counted, StochasticFirstOrderOracle):
+            sample = counted._sample
+            self.sample = sample
+            self.sample_with_value = lambda x, rng: (None, sample(x, rng))
+        elif isinstance(counted, FirstOrderOracle):
+            evaluate = counted._evaluate
+            self.sample = lambda x, rng: evaluate(x)[1]
+            self.sample_with_value = lambda x, rng: evaluate(x)
         else:
             raise TypeError("oracle must be a FirstOrderOracle or StochasticFirstOrderOracle")
-        self.sample = sample
-        self.sample_with_value = sample_with_value
 
 
-def _check_start_point(x0: np.ndarray, po: ProjectionOracle | None,
-                       feasible_set=None) -> None:
-    """Validate feasibility of the start point without consuming counted
-    oracle calls."""
-    descriptor = feasible_set
-    if descriptor is None and po is not None:
-        descriptor = po.set_descriptor
+def _check_start_point(x0: np.ndarray, set_oracle) -> np.ndarray:
+    """Return a float copy of ``x0`` after checking that it lies in the set
+    of a projection or linear-minimization oracle, without consuming
+    counted oracle calls.
+
+    The set descriptor decides membership; without one, a projection
+    oracle must leave the point in place, and a bare LMO is not checked.
+    """
+    x = np.array(x0, dtype=float, copy=True)
+    descriptor = set_oracle.set_descriptor
     if descriptor is not None:
-        if not descriptor.contains(x0, tol=1e-8):
-            raise ValueError("start point is not in the constraint set")
-        return
-    if po is not None:
-        projected = po.project(np.asarray(x0, dtype=float))
-        if np.linalg.norm(projected - x0) > 1e-8 * (1.0 + np.linalg.norm(x0)):
-            raise ValueError("start point is not in the constraint set")
+        feasible = descriptor.contains(x, tol=1e-8)
+    elif isinstance(set_oracle, ProjectionOracle):
+        feasible = np.linalg.norm(set_oracle.project(x) - x) <= 1e-8 * (1.0 + np.linalg.norm(x))
+    else:
+        feasible = True
+    if not feasible:
+        raise ValueError("start point is not in the constraint set")
+    return x
+
+
+def _trace_step(trace: RunTrace, k: int, counters: OracleCounters, f_value: float,
+                f_ref: float | None, t_start: float, **extra) -> TraceRecord:
+    """Append the record of step ``k`` with the current oracle counts.
+
+    Raises ``NumericalError`` when the objective value or any extra
+    measurement is not finite, so a diverging run fails loudly at the step
+    where it diverged instead of writing NaN rows.
+    """
+    if not (math.isfinite(f_value) and all(map(math.isfinite, extra.values()))):
+        values = ", ".join(f"{name} = {value!r}"
+                           for name, value in (("f_value", f_value), *extra.items()))
+        raise NumericalError(f"{trace.algorithm}: a value at step {k} is not finite ({values})")
+    record = TraceRecord(k, *counters.as_tuple(), f_value,
+                         f_value - f_ref if f_ref is not None else float("nan"),
+                         (time.perf_counter() - t_start) * 1e3, **extra)
+    trace.records.append(record)
+    return record
 
 
 def _rng_for(seed: int):
@@ -391,31 +401,23 @@ def fw_quadratic_projection(target: np.ndarray, u0: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def moreau_subgradient_general(problem, oracle, approx_proj: Callable, config: SolverConfig,
-                               x0: np.ndarray, algorithm: str = "moreau_general",
-                               f_ref: float | None = None, feasible_set=None,
-                               keep_iterates: bool = False) -> SolverResult:
-    """Generic accelerated Moreau-splitting loop with a pluggable
-    approximate projection.
+def _moreau_splitting(problem, oracle, counters: OracleCounters, step,
+                      config: SolverConfig, x0: np.ndarray, algorithm: str,
+                      f_ref: float | None, keep_iterates: bool) -> SolverResult:
+    """The accelerated Moreau-splitting loop shared by ``mopes`` and ``moles``.
 
-    ``approx_proj(counters)`` must return a step function
-    ``step(grad, z_prev, beta, k) -> z`` implementing the constrained move,
-    for example an exact projection (tolerance zero) or a Frank-Wolfe
-    projection run to a budget or Wolfe-gap tolerance.  Everything else,
-    including the sliding prox subproblem of the unconstrained block, is
-    shared; the projection-oracle and LMO variants below are thin
-    specializations and inherit this loop verbatim.
+    ``step(target, z_prev, sched)`` is the counted constrained move: an
+    (approximate) projection of ``target`` onto the set, started from
+    ``z_prev`` where that matters, under the step's ``Schedule``.  The
+    unconstrained block resolves its prox subproblem with ``prox_slide``,
+    which never touches the set.
     """
-    counters = OracleCounters()
     source = _SubgradientSource(oracle, counters)
-    proj_step = approx_proj(counters)
     rng = _rng_for(config.seed)
     lam = config.lam
     total = config.outer_steps
 
-    x = np.array(x0, dtype=float, copy=True)
-    if feasible_set is not None and not feasible_set.contains(x, tol=1e-8):
-        raise ValueError("start point is not in the constraint set")
+    x = x0
     x_prime = x.copy()
     z = x.copy()
     z_prime = x.copy()
@@ -430,7 +432,7 @@ def moreau_subgradient_general(problem, oracle, approx_proj: Callable, config: S
         y = (1.0 - gamma) * x + gamma * z
         y_prime = (1.0 - gamma) * x_prime + gamma * z_prime
         grad_x_block = (y - y_prime) / lam
-        z = proj_step(grad_x_block, z, beta, k)
+        z = step(z - grad_x_block / beta, z, sched)
         grad_prime_block = (y_prime - y) / lam
         z_prime, z_prime_avg = prox_slide(source, grad_prime_block, z_prime, beta,
                                           sched.inner_steps, config.domain_radius, rng,
@@ -439,57 +441,10 @@ def moreau_subgradient_general(problem, oracle, approx_proj: Callable, config: S
         x_prime = (1.0 - gamma) * x_prime + gamma * z_prime_avg
         if iterates is not None:
             iterates.append(x.copy())
-        f_value = float(problem.value(x))
-        trace.append(TraceRecord(
-            k=k,
-            fo_calls=counters.fo_calls, sfo_calls=counters.sfo_calls,
-            po_calls=counters.po_calls, lmo_calls=counters.lmo_calls,
-            f_value=f_value,
-            gap=f_value - f_ref if f_ref is not None else float("nan"),
-            wall_ms=(time.perf_counter() - t_start) * 1e3,
-            iterate_distance=float(np.linalg.norm(x - x_prime)),
-        ))
+        _trace_step(trace, k, counters, float(problem.value(x)), f_ref, t_start,
+                    iterate_distance=float(np.linalg.norm(x - x_prime)))
     return SolverResult(x=x, x_prime=x_prime, trace=trace, counters=counters,
                         iterates=iterates)
-
-
-def exact_projection_plugin(po: ProjectionOracle) -> Callable:
-    """Constrained move by exact projection: one PO call per outer step."""
-
-    def make(counters: OracleCounters):
-        counted = wrap_counting(po, counters)
-
-        def step(grad, z_prev, beta, k):
-            return counted.project(z_prev - grad / beta)
-
-        return step
-
-    return make
-
-
-def fw_projection_plugin(lmo: LinearMinimizationOracle, config: SolverConfig) -> Callable:
-    """Constrained move by Frank-Wolfe approximate projection.
-
-    Fixed-budget mode spends exactly ``config.fw_budget`` LMO calls per
-    outer step; Wolfe mode stops at the per-step dual-gap tolerance
-    ``4 c' d_tilde / (lam K k)`` instead.
-    """
-
-    def make(counters: OracleCounters):
-        counted = wrap_counting(lmo, counters)
-
-        def step(grad, z_prev, beta, k):
-            target = z_prev - grad / beta
-            if config.projection_mode == "wolfe":
-                tol = 4.0 * config.cprime * config.d_tilde / (config.lam * config.outer_steps * k)
-                return fw_quadratic_projection(target, z_prev, counted,
-                                               beta=beta, wolfe_tol=tol)
-            return fw_quadratic_projection(target, z_prev, counted,
-                                           budget=config.fw_budget)
-
-        return step
-
-    return make
 
 
 def mopes(problem, oracle, po: ProjectionOracle, config: SolverConfig, x0: np.ndarray,
@@ -500,10 +455,15 @@ def mopes(problem, oracle, po: ProjectionOracle, config: SolverConfig, x0: np.nd
     ``sum_k ceil((4 G^2 + sigma^2) lam^2 K k^2 / (2 d_tilde))`` subgradient
     calls in total, so the projection count is exactly ``outer_steps``.
     """
-    _check_start_point(np.asarray(x0, dtype=float), po)
-    return moreau_subgradient_general(
-        problem, oracle, exact_projection_plugin(po), config, x0,
-        algorithm="mopes", f_ref=f_ref, keep_iterates=keep_iterates)
+    x0 = _check_start_point(x0, po)
+    counters = OracleCounters()
+    project = wrap_counting(po, counters).project
+
+    def step(target, z_prev, sched):
+        return project(target)
+
+    return _moreau_splitting(problem, oracle, counters, step, config, x0, "mopes",
+                             f_ref, keep_iterates)
 
 
 def moles(problem, oracle, lmo: LinearMinimizationOracle, config: SolverConfig,
@@ -511,14 +471,25 @@ def moles(problem, oracle, lmo: LinearMinimizationOracle, config: SolverConfig,
           keep_iterates: bool = False) -> SolverResult:
     """LMO-efficient variant: projections approximated by Frank-Wolfe.
 
-    Identical to ``mopes`` except the constrained move, so fixed-budget
-    runs consume exactly ``outer_steps * config.fw_budget`` LMO calls.
+    Identical to ``mopes`` except the constrained move.  Fixed-budget runs
+    consume exactly ``outer_steps * config.fw_budget`` LMO calls; Wolfe
+    mode stops each projection at the dual-gap tolerance
+    ``4 c' d_tilde / (lam K k)`` instead.
     """
-    _check_start_point(np.asarray(x0, dtype=float), None,
-                       feasible_set=lmo.set_descriptor)
-    return moreau_subgradient_general(
-        problem, oracle, fw_projection_plugin(lmo, config), config, x0,
-        algorithm="moles", f_ref=f_ref, keep_iterates=keep_iterates)
+    x0 = _check_start_point(x0, lmo)
+    counters = OracleCounters()
+    counted = wrap_counting(lmo, counters)
+
+    if config.projection_mode == "wolfe":
+        def step(target, z_prev, sched):
+            return fw_quadratic_projection(target, z_prev, counted, beta=sched.beta,
+                                           wolfe_tol=sched.wolfe_tol)
+    else:
+        def step(target, z_prev, sched):
+            return fw_quadratic_projection(target, z_prev, counted, budget=sched.fw_budget)
+
+    return _moreau_splitting(problem, oracle, counters, step, config, x0, "moles",
+                             f_ref, keep_iterates)
 
 
 # ---------------------------------------------------------------------------
@@ -546,13 +517,12 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
         raise ValueError("steps must be a positive integer")
     if stepsize_rule not in ("fixed", "diminishing"):
         raise ValueError("stepsize_rule must be 'fixed' or 'diminishing'")
+    x = _check_start_point(x0, po)
     counters = OracleCounters()
     source = _SubgradientSource(oracle, counters)
-    counted_po = wrap_counting(po, counters)
-    _check_start_point(np.asarray(x0, dtype=float), po)
+    project = wrap_counting(po, counters).project
     rng = _rng_for(seed)
 
-    x = np.array(x0, dtype=float, copy=True)
     weighted = np.zeros_like(x)
     weight_sum = 0.0
     best_val = math.inf
@@ -572,23 +542,14 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
             best_x = x.copy()
         weighted += alpha * x
         weight_sum += alpha
-        x = counted_po.project(x - alpha * grad)
+        x = project(x - alpha * grad)
         if iterates is not None:
             iterates.append(x.copy())
         if k % trace_every == 0 or k == steps:
-            f_avg = float(problem.value(weighted / weight_sum))
-            trace.append(TraceRecord(
-                k=k,
-                fo_calls=counters.fo_calls, sfo_calls=counters.sfo_calls,
-                po_calls=counters.po_calls, lmo_calls=counters.lmo_calls,
-                f_value=f_avg,
-                gap=f_avg - f_ref if f_ref is not None else float("nan"),
-                wall_ms=(time.perf_counter() - t_start) * 1e3,
-                f_current=float(value), f_best=best_val,
-            ))
-    x_avg = weighted / weight_sum
-    return SolverResult(x=x_avg, x_prime=None, trace=trace, counters=counters,
-                        x_best=best_x, f_best=best_val, x_average=x_avg,
+            _trace_step(trace, k, counters, float(problem.value(weighted / weight_sum)),
+                        f_ref, t_start, f_current=float(value), f_best=best_val)
+    return SolverResult(x=weighted / weight_sum, x_prime=None, trace=trace,
+                        counters=counters, x_best=best_x, f_best=best_val,
                         iterates=iterates)
 
 
@@ -617,11 +578,10 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
         raise ValueError("steps must be a positive integer")
     if mode not in ("budget", "wolfe"):
         raise ValueError("mode must be 'budget' or 'wolfe'")
+    x = _check_start_point(x0, lmo)
     counters = OracleCounters()
     source = _SubgradientSource(oracle, counters)
     counted_lmo = wrap_counting(lmo, counters)
-    _check_start_point(np.asarray(x0, dtype=float), None,
-                       feasible_set=lmo.set_descriptor)
     rng = _rng_for(seed)
 
     noise = lipschitz ** 2 + sigma ** 2
@@ -632,29 +592,20 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
     # boundary where the ratio is itself integral.
     step_budget = math.floor(7.0 * set_diameter ** 2 / (alpha ** 2 * noise)) + 1
 
-    x = np.array(x0, dtype=float, copy=True)
     weighted = np.zeros_like(x)
     weight_sum = 0.0
     iterates = [] if keep_iterates else None
     trace = RunTrace(f"fw_pgd_{mode}", seed)
     t_start = time.perf_counter()
-    stopped = False
     for k in range(1, steps + 1):
         value, grad = source.sample_with_value(x, rng)
-        if value is None and (k % trace_every == 0 or k == steps):
-            value = float(problem.value(x))
         weighted += alpha * x
         weight_sum += alpha
-        if value is not None and (k % trace_every == 0 or k == steps or stopped):
-            gap = float(value) - f_ref if f_ref is not None else float("nan")
-            trace.append(TraceRecord(
-                k=k,
-                fo_calls=counters.fo_calls, sfo_calls=counters.sfo_calls,
-                po_calls=counters.po_calls, lmo_calls=counters.lmo_calls,
-                f_value=float(value), gap=gap,
-                wall_ms=(time.perf_counter() - t_start) * 1e3,
-            ))
-            if target_gap is not None and gap <= target_gap:
+        if k % trace_every == 0 or k == steps:
+            if value is None:
+                value = problem.value(x)
+            record = _trace_step(trace, k, counters, float(value), f_ref, t_start)
+            if target_gap is not None and record.gap <= target_gap:
                 break
         if max_lmo is not None and counters.lmo_calls >= max_lmo:
             break
@@ -666,6 +617,5 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
             x = fw_quadratic_projection(target, x, counted_lmo, budget=step_budget)
         if iterates is not None:
             iterates.append(x.copy())
-    x_avg = weighted / weight_sum
-    return SolverResult(x=x_avg, x_prime=None, trace=trace, counters=counters,
-                        x_average=x_avg, iterates=iterates)
+    return SolverResult(x=weighted / weight_sum, x_prime=None, trace=trace,
+                        counters=counters, iterates=iterates)

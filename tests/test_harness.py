@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from nsopt import (
     ConfigError,
+    HingeSvmInstance,
     NumericalError,
     fit_slopes,
     l1_ball,
@@ -50,6 +52,25 @@ class TestConfig:
             small_config(tmp_path, epsilons=[0.1, -0.2])
         with pytest.raises(ConfigError):
             small_config(tmp_path, epsilons=[0.1, 0.1])
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"solvers": [{"name": "mopes", "dist_estimte": 1.0}]}, "dist_estimte"),
+        ({"solvers": [{"name": "mopes", "steps": 100}]}, "steps"),
+        ({"solvers": [{"name": "pgd", "projection_mode": "wolfe"}]}, "projection_mode"),
+        ({"problem": {"kind": "piecewise_linear", "d": 4, "rows": 2}}, "rows"),
+        ({"repetition": 2}, "repetition"),
+    ])
+    def test_unknown_keys_rejected(self, tmp_path, overrides, key):
+        with pytest.raises(ConfigError, match=f"unknown .* key\\(s\\): '{key}'"):
+            small_config(tmp_path, **overrides)
+
+    def test_unknown_problem_kind_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown problem kind 'quadratic'"):
+            small_config(tmp_path, problem={"kind": "quadratic"})
+
+    def test_shipped_config_loads(self):
+        path = Path(__file__).resolve().parent.parent / "configs" / "desk_sweep.json"
+        assert [s["name"] for s in load_config(str(path)).solvers] == ["mopes", "pgd"]
 
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -188,6 +209,35 @@ class TestRunExperiment:
         assert statuses["pgd_fixed_eps0.3_rep0"] == "ok"
 
 
+    def test_non_finite_run_is_isolated(self, tmp_path, monkeypatch):
+        class NanMinibatchHinge(HingeSvmInstance):
+            """Hinge loss whose minibatch subgradients are NaN; the full
+            first-order oracle, used by the reference solve and pgd, is not."""
+
+            def batch_subgradient(self, x, indices):
+                return np.full(self.dim, math.nan)
+
+        build = harness.build_problem
+
+        def build_nan(problem_cfg):
+            problem, descriptor, lipschitz = build(problem_cfg)
+            return NanMinibatchHinge(problem.rows), descriptor, lipschitz
+
+        monkeypatch.setattr(harness, "build_problem", build_nan)
+        cfg = small_config(tmp_path,
+                           problem={"kind": "hinge_svm", "n": 20, "d": 4, "seed": 1,
+                                    "set": "l1_ball", "radius": 1.0},
+                           solvers=[{"name": "mopes", "batch_size": 2},
+                                    {"name": "pgd", "steps": 50}])
+        manifest = run_experiment(cfg)
+        assert [f["run"] for f in manifest["failed"]] == ["mopes_eps0.3_rep0"]
+        assert "not finite" in manifest["failed"][0]["error"]
+        pgd_csv = [f for f in manifest["files"] if "pgd_fixed" in f]
+        rows = open(pgd_csv[0]).read().splitlines()[1:]
+        assert len(rows) == 50
+        assert all(math.isfinite(float(row.split(",")[6])) for row in rows)
+
+
 class TestSlopeFits:
     def synthetic_traces(self, exponent, constant=1024.0):
         eps_values = [0.5, 0.25, 0.125]
@@ -216,6 +266,26 @@ class TestSlopeFits:
         entry = report.solvers["solver"]
         assert entry.excluded == [0.125]
         assert math.isnan(entry.slope)
+
+    def test_zero_count_metric_is_unused(self, capsys):
+        traces = self.synthetic_traces(1)
+        for rows in traces["solver"].values():
+            rows[0].sfo_calls = 0
+        traces["stuck"] = {eps: [SimpleNamespace(gap=1.0, po_calls=5, lmo_calls=0,
+                                                 fo_calls=5, sfo_calls=0)]
+                           for eps in (0.5, 0.25, 0.125)}
+        report = fit_slopes(traces, "sfo")
+        assert report.solvers["solver"].unused
+        assert report.solvers["stuck"].unused
+        cli._print_slope_report(report)
+        assert capsys.readouterr().out.splitlines() == ["sfo\tsolver\tmetric unused",
+                                                        "sfo\tstuck\tmetric unused"]
+        cli._print_slope_report(fit_slopes(traces, "po"))
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("po\tsolver\tslope=1.0000")
+        assert lines[1] == "po\tstuck\tslope=nan (fewer than 3 reachable accuracies)"
+        assert lines[2:] == [f"po\tstuck\texcluded eps={eps:g} (never reached)"
+                             for eps in (0.5, 0.25, 0.125)]
 
     def test_unknown_metric(self):
         with pytest.raises(ConfigError):
@@ -269,6 +339,10 @@ class TestCli:
         assert cli.main(["sweep", str(path)]) == 0
         out = capsys.readouterr().out
         assert "slope=" in out
+        # a deterministic mopes run calls neither the SFO nor the LMO
+        assert "lmo\tmopes\tmetric unused\n" in out
+        assert "sfo\tmopes\tmetric unused\n" in out
+        assert "never reached" not in out
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = self.write_config(tmp_path, solvers=[{"name": "bogus"}])

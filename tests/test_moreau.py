@@ -1,20 +1,15 @@
-"""Envelope machinery: joint objective, block gradients, and the inner
-proximal subgradient solver, checked against exact reference envelopes."""
+"""Envelope machinery: the proximal subgradient solver, checked against
+exact reference envelopes."""
 
 import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from nsopt import (
     AbsoluteValueInstance,
     FirstOrderOracle,
-    JointObjective,
     OracleCounters,
-    envelope_gradient,
-    grad_psi,
-    joint_value,
     prox_subgradient,
     synth_piecewise_linear,
     wrap_counting,
@@ -26,53 +21,6 @@ RADIUS = 10.0  # enclosing-ball radius; tests stay in the interior region
 
 def abs_oracle(anchor):
     return FirstOrderOracle.from_instance(AbsoluteValueInstance(np.atleast_1d(anchor)))
-
-
-class TestJointValue:
-    def test_diagonal_collapses_to_value(self):
-        fo = abs_oracle(np.array([0.0]))
-        x = np.array([0.7])
-        assert joint_value(fo, x, x, 0.3) == pytest.approx(0.7, abs=1e-15)
-
-    def test_absolute_value_arithmetic(self):
-        fo = abs_oracle(np.array([0.0]))
-        got = joint_value(fo, np.array([0.0]), np.array([1.0]), 0.5)
-        assert got == pytest.approx(2.0, abs=1e-12)
-
-    def test_nonincreasing_in_smoothing(self):
-        fo = abs_oracle(np.array([0.0]))
-        x, xp = np.array([0.2]), np.array([0.9])
-        values = [joint_value(fo, x, xp, lam) for lam in (0.1, 0.5, 2.0, 10.0)]
-        assert all(a >= b for a, b in zip(values, values[1:]))
-
-    def test_consumes_one_fo_call(self):
-        counters = OracleCounters()
-        fo = wrap_counting(abs_oracle(np.array([0.0])), counters)
-        joint_value(fo, np.array([0.1]), np.array([0.2]), 1.0)
-        assert counters.fo_calls == 1
-
-    def test_rejects_bad_smoothing(self):
-        with pytest.raises(ValueError):
-            joint_value(abs_oracle(np.array([0.0])), np.array([0.1]), np.array([0.2]), 0.0)
-
-
-class TestGradPsi:
-    def test_stationary_diagonal(self):
-        gx, gxp = grad_psi(np.array([0.4, -0.1]), np.array([0.4, -0.1]), 0.7)
-        assert_allclose(gx, [0.0, 0.0])
-        assert_allclose(gxp, [0.0, 0.0])
-
-    def test_formula(self):
-        gx, gxp = grad_psi(np.array([1.0, 0.0]), np.array([0.0, 0.0]), 0.5)
-        assert_allclose(gx, [2.0, 0.0])
-        assert_allclose(gxp, [-2.0, 0.0])
-
-    def test_antisymmetry(self, rng):
-        for _ in range(100):
-            x = rng.standard_normal(3)
-            xp = rng.standard_normal(3)
-            gx, gxp = grad_psi(x, xp, float(rng.uniform(0.05, 2.0)))
-            assert_allclose(gx + gxp, np.zeros(3), atol=0.0)
 
 
 class TestProxSubgradient:
@@ -116,23 +64,6 @@ class TestProxSubgradient:
             prox_subgradient(fo, np.array([1.0]), 0.0, 10, RADIUS)
         with pytest.raises(ValueError):
             prox_subgradient(fo, np.array([1.0]), 1.0, 0, RADIUS)
-
-
-class TestEnvelopeGradient:
-    def test_away_from_kink(self):
-        fo = abs_oracle(np.array([0.0]))
-        g = envelope_gradient(fo, np.array([2.0]), 1.0, 40000, RADIUS, dist_estimate=1.0)
-        assert g[0] == pytest.approx(1.0, abs=0.05)
-
-    def test_fixed_point_gives_zero(self):
-        fo = abs_oracle(np.array([0.3]))
-        g = envelope_gradient(fo, np.array([0.3]), 1.0, 100, RADIUS)
-        assert g[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_quadratic_zone_slope(self):
-        fo = abs_oracle(np.array([0.0]))
-        g = envelope_gradient(fo, np.array([0.3]), 1.0, 40000, RADIUS, dist_estimate=0.3)
-        assert g[0] == pytest.approx(0.3, abs=0.05)
 
 
 def reference_prox(instance, x, lam):
@@ -230,23 +161,3 @@ class TestEnvelopeInvariants:
                 assert res.value <= exact_value + gap_bound + 1e-9
                 assert res.value >= exact_value - 1e-9
 
-
-class TestJointObjective:
-    def test_bundle_matches_free_functions(self):
-        fo = abs_oracle(np.array([0.0]))
-        joint = JointObjective(fo, lam=0.5, radius=RADIUS)
-        x, xp = np.array([0.1]), np.array([0.9])
-        assert joint.value(x, xp) == joint_value(fo, x, xp, 0.5)
-        gx, gxp = joint.gradients(x, xp)
-        ex, exp_ = grad_psi(x, xp, 0.5)
-        assert_allclose(gx, ex)
-        assert_allclose(gxp, exp_)
-        res = joint.prox(np.array([2.0]), 500, dist_estimate=1.0)
-        assert res.iterations == 500
-
-    def test_validation(self):
-        fo = abs_oracle(np.array([0.0]))
-        with pytest.raises(ValueError):
-            JointObjective(fo, lam=0.0, radius=1.0)
-        with pytest.raises(ValueError):
-            JointObjective(fo, lam=0.5, radius=-1.0)

@@ -9,11 +9,8 @@ from nsopt import (
     FormatError,
     HingeSvmInstance,
     MatrixSvmInstance,
-    hinge_value_and_subgradient,
     l1_ball,
-    lipschitz_bound,
     load_dense_csv,
-    matrix_hinge_value_and_subgradient,
     reference_optimum,
     save_dense_csv,
     synth_hinge_data,
@@ -26,37 +23,37 @@ from conftest import philox
 class TestHinge:
     def test_zero_point_unit_loss(self, rng):
         inst = HingeSvmInstance(synth_hinge_data(12, 4, 0))
-        value, grad = hinge_value_and_subgradient(inst, np.zeros(4))
+        value, grad = inst.value_and_subgradient(np.zeros(4))
         assert value == 1.0
         assert_allclose(grad, -inst.rows.mean(axis=0), atol=1e-15)
 
     def test_inactive_sample(self):
         inst = HingeSvmInstance(np.array([[2.0, 0.0]]))
-        value, grad = hinge_value_and_subgradient(inst, np.array([1.0, 0.0]))
+        value, grad = inst.value_and_subgradient(np.array([1.0, 0.0]))
         assert value == 0.0
         assert_allclose(grad, [0.0, 0.0])
 
     def test_margin_exactly_one_contributes_zero(self):
         inst = HingeSvmInstance(np.array([[1.0, 0.0]]))
-        _, grad = hinge_value_and_subgradient(inst, np.array([1.0, 0.0]))
+        _, grad = inst.value_and_subgradient(np.array([1.0, 0.0]))
         assert_allclose(grad, [0.0, 0.0])
 
     def test_dimension_mismatch(self):
         inst = HingeSvmInstance(synth_hinge_data(5, 3, 1))
         with pytest.raises(ValueError):
-            hinge_value_and_subgradient(inst, np.zeros(4))
+            inst.value_and_subgradient(np.zeros(4))
 
 
 class TestMatrixHinge:
     def test_zero_matrix_unit_loss(self):
         inst = MatrixSvmInstance(synth_hinge_data(8, 6, 2).reshape(8, 2, 3))
-        value, grad = matrix_hinge_value_and_subgradient(inst, np.zeros((2, 3)))
+        value, grad = inst.matrix_value_and_subgradient(np.zeros((2, 3)))
         assert value == 1.0
         assert grad.shape == (2, 3)
 
     def test_identity_sample_inactive(self):
         inst = MatrixSvmInstance(np.eye(2)[None, :, :])
-        value, grad = matrix_hinge_value_and_subgradient(inst, np.eye(2))
+        value, grad = inst.matrix_value_and_subgradient(np.eye(2))
         assert value == 0.0
         assert_allclose(grad, np.zeros((2, 2)))
 
@@ -66,23 +63,23 @@ class TestMatrixHinge:
         bound = np.linalg.norm(mats.reshape(10, -1), axis=1).mean()
         for _ in range(200):
             x = rng.standard_normal((3, 2))
-            _, grad = matrix_hinge_value_and_subgradient(inst, x)
+            _, grad = inst.matrix_value_and_subgradient(x)
             assert np.linalg.norm(grad) <= bound + 1e-12
 
     def test_shape_mismatch(self):
         inst = MatrixSvmInstance(np.ones((4, 2, 2)))
         with pytest.raises(ValueError):
-            matrix_hinge_value_and_subgradient(inst, np.ones((3, 2)))
+            inst.matrix_value_and_subgradient(np.ones((3, 2)))
 
 
 class TestLipschitzBound:
     def test_piecewise_max_norm(self):
         inst = PiecewiseLinearInstance(np.array([[1.0, 0.0], [0.0, -2.0]]), np.zeros(2))
-        assert lipschitz_bound(inst) == 2.0
+        assert inst.lipschitz_bound == 2.0
 
     def test_hinge_mean_norm(self):
         inst = HingeSvmInstance(np.array([[3.0, 4.0], [0.0, 1.0]]))
-        assert lipschitz_bound(inst) == 3.0
+        assert inst.lipschitz_bound == 3.0
 
     @pytest.mark.parametrize("make", [
         lambda: synth_piecewise_linear(6, 5, 10),
@@ -91,7 +88,7 @@ class TestLipschitzBound:
     ])
     def test_dominates_random_queries(self, make, rng):
         inst = make()
-        bound = lipschitz_bound(inst)
+        bound = inst.lipschitz_bound
         for _ in range(10 ** 4):
             _, g = inst.value_and_subgradient(rng.uniform(-2, 2, inst.dim))
             assert np.linalg.norm(g) <= bound + 1e-12

@@ -1,6 +1,7 @@
 """Solver loops: schedules, inner procedures, end-to-end runs, accounting."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from nsopt import (
     FirstOrderOracle,
     HingeSvmInstance,
     LinearMinimizationOracle,
+    NumericalError,
     ProjectionOracle,
     SolverConfig,
     compute_schedule,
@@ -20,13 +22,12 @@ from nsopt import (
     minibatch_sfo,
     moles,
     mopes,
-    moreau_subgradient_general,
     pgd,
     prox_slide,
     synth_hinge_data,
     synth_piecewise_linear,
 )
-from nsopt.solvers import CSV_HEADER, exact_projection_plugin, fw_projection_plugin
+from nsopt.solvers import CSV_HEADER
 from conftest import philox
 
 
@@ -269,6 +270,27 @@ class TestMopes:
             mopes(inst, fo, po, cfg, np.array([2.0]))
 
 
+class TestNonFiniteValues:
+    def mopes_config(self, sd):
+        return SolverConfig.from_target(0.3, 1.0, sd.diameter, method="mopes",
+                                        dist_estimate=0.5, domain_radius=2.0, seed=1)
+
+    def test_mopes_raises_on_nan_subgradients(self):
+        inst, _, sd = abs_problem(0.6)
+        nan_fo = FirstOrderOracle(lambda x: (math.nan, np.full_like(x, math.nan)), 1.0)
+        po = ProjectionOracle.from_set(sd)
+        with pytest.raises(NumericalError, match=r"at step 1 is not finite .*iterate_distance = nan"):
+            mopes(inst, nan_fo, po, self.mopes_config(sd), np.array([1.0]))
+
+    def test_mopes_raises_on_nan_objective(self):
+        inst = AbsoluteValueInstance(np.array([math.nan]))
+        fo = FirstOrderOracle.from_instance(inst)
+        sd = l1_ball(1, 1.0)
+        po = ProjectionOracle.from_set(sd)
+        with pytest.raises(NumericalError, match=r"at step 1 is not finite \(f_value = nan"):
+            mopes(inst, fo, po, self.mopes_config(sd), np.array([1.0]))
+
+
 class TestMoles:
     @pytest.mark.slow
     def test_one_dimensional_accuracy_and_accounting(self):
@@ -296,24 +318,6 @@ class TestMoles:
 
 
 class TestGenericLoop:
-    def test_specializations_are_bitwise_identical(self):
-        inst, fo, sd = abs_problem(0.6)
-        po = ProjectionOracle.from_set(sd)
-        lmo = LinearMinimizationOracle.from_set(sd)
-        x0 = np.array([1.0])
-        cfg = SolverConfig.from_target(0.1, 1.0, sd.diameter, method="mopes",
-                                       dist_estimate=0.5, domain_radius=2.0, seed=4)
-        a = mopes(inst, fo, po, cfg, x0, keep_iterates=True)
-        b = moreau_subgradient_general(inst, fo, exact_projection_plugin(po), cfg, x0,
-                                       keep_iterates=True)
-        assert all(np.array_equal(p, q) for p, q in zip(a.iterates, b.iterates))
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.x_prime, b.x_prime)
-        cfg_l = SolverConfig.from_target(0.1, 1.0, sd.diameter, method="moles",
-                                         dist_estimate=0.5, domain_radius=2.0, seed=4)
-        c = moles(inst, fo, lmo, cfg_l, x0)
-        d = moreau_subgradient_general(inst, fo, fw_projection_plugin(lmo, cfg_l), cfg_l, x0)
-        assert np.array_equal(c.x, d.x)
-
     def test_convergence_bound_with_exact_projection(self):
         # gap <= (10 dist^2 + 8 d_tilde) / (lam K (K+1)) + G^2 lam / 2
         inst, fo, sd = abs_problem(0.6)
@@ -324,7 +328,7 @@ class TestGenericLoop:
             cfg = SolverConfig(eps=0.1, lam=lam, outer_steps=total, d_tilde=1.0,
                                lipschitz=1.0, set_diameter=2.0, domain_radius=2.0,
                                dist_estimate=1.0, seed=0)
-            res = moreau_subgradient_general(inst, fo, exact_projection_plugin(po), cfg, x0)
+            res = mopes(inst, fo, po, cfg, x0)
             bound = (10.0 * dist_sq + 8.0 * cfg.d_tilde) / (lam * total * (total + 1)) \
                 + lam / 2.0
             assert res.trace.final.f_value <= bound + 1e-12
@@ -449,3 +453,27 @@ class TestDeterminismAndTraces:
             assert float(fields[8]) == 0.0  # deterministic placeholder
         timed = res.trace.csv_rows(wall_clock=True)
         assert any(float(row.split(",")[8]) > 0.0 for row in timed)
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        inst, fo, sd = abs_problem(0.6)
+        po = ProjectionOracle.from_set(sd)
+        cfg = SolverConfig.from_target(0.3, 1.0, sd.diameter, method="mopes",
+                                       dist_estimate=0.5, domain_radius=2.0, seed=2)
+        trace = mopes(inst, fo, po, cfg, np.array([1.0])).trace
+        rows = trace.csv_rows()
+
+        def rows_then_failure(wall_clock=False):
+            yield from rows[:3]
+            raise OSError("disk full")
+
+        monkeypatch.setattr(trace, "csv_rows", rows_then_failure)
+        fresh = tmp_path / "fresh.csv"
+        with pytest.raises(OSError, match="disk full"):
+            trace.write_csv(fresh)
+        assert os.listdir(tmp_path) == []
+        kept = tmp_path / "kept.csv"
+        kept.write_text("earlier contents\n")
+        with pytest.raises(OSError, match="disk full"):
+            trace.write_csv(kept)
+        assert os.listdir(tmp_path) == ["kept.csv"]
+        assert kept.read_text() == "earlier contents\n"
