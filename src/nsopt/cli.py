@@ -76,9 +76,8 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps({"files": manifest["files"], "failed": manifest["failed"]}))
         elif args.command == "reference":
             cfg = load_config(args.config)
-            problem, descriptor, lipschitz = build_problem(cfg.problem)
-            f_star, x_star = reference_optimum(problem, descriptor,
-                                               cfg.reference_budget, lipschitz)
+            problem, descriptor, _ = build_problem(cfg.problem)
+            f_star, x_star = reference_optimum(problem, descriptor, cfg.reference_budget)
             print(json.dumps({"reference_value": f_star,
                               "certificate": [float(v) for v in x_star]}))
         else:

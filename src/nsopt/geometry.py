@@ -38,8 +38,11 @@ def project_l1_ball(x: np.ndarray, radius: float) -> np.ndarray:
     cumulative = np.cumsum(s)
     counts = np.arange(1, x.size + 1)
     # Largest prefix whose shifted values stay positive fixes the threshold.
-    ok = s - (cumulative - radius) / counts > 0
-    rho = int(np.nonzero(ok)[0][-1])
+    # Only a non-finite input leaves no positive prefix.
+    positive = np.nonzero(s - (cumulative - radius) / counts > 0)[0]
+    if positive.size == 0:
+        raise NumericalError("l1-ball projection of a non-finite point")
+    rho = int(positive[-1])
     theta = (cumulative[rho] - radius) / (rho + 1)
     return np.sign(x) * np.maximum(a - theta, 0.0)
 
@@ -231,8 +234,7 @@ class SetDescriptor:
             return project_l1_ball(x, self.radius)
         return project_nuclear_ball(x.reshape(self.shape), self.radius).ravel()
 
-    def lmo(self, g: np.ndarray, rng=None, tol: float = 1e-10,
-            max_iter: int = 10000) -> np.ndarray:
+    def lmo(self, g: np.ndarray, rng=None) -> np.ndarray:
         g = np.asarray(g, dtype=float)
         if self.kind == "l1_ball":
             return lmo_l1_ball(g, self.radius)
@@ -243,8 +245,7 @@ class SetDescriptor:
                 s[0] = -self.radius
                 return s
             return -self.radius / nrm * g
-        return lmo_nuclear_ball(g.reshape(self.shape), self.radius,
-                                tol=tol, max_iter=max_iter, rng=rng).ravel()
+        return lmo_nuclear_ball(g.reshape(self.shape), self.radius, rng=rng).ravel()
 
     def boundary_point(self, rng) -> np.ndarray:
         """A random point with norm exactly ``radius`` (rank-1 for the

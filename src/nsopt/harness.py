@@ -34,6 +34,7 @@ from .solvers import (
     CSV_HEADER,
     RunTrace,
     SolverConfig,
+    TraceRecord,
     fw_pgd,
     moles,
     mopes,
@@ -43,29 +44,23 @@ from .solvers import (
 
 OUTPUT_DIR_ENV = "NSOPT_OUTPUT_DIR"
 
-# Library defaults are c = c' = 1; the preset below mirrors a tuned large
-# experiment configuration and can be selected per solver with "preset".
-PRESETS = {"default": {"c": 1.0, "cprime": 1.0}, "tuned": {"c": 40.0, "cprime": 1.0}}
-
 # Every key the harness reads: at the top level, per problem kind and per
 # solver.  Any other key is rejected, so a typo cannot fall back to a default.
 CONFIG_KEYS = {"seed", "output_dir", "repetitions", "epsilons", "reference_budget",
                "problem", "solvers", "record_wall_time"}
-_PROBLEM_SHARED = {"kind", "set", "radius", "g_override"}
+_PROBLEM_SHARED = {"kind", "set", "radius"}
 PROBLEM_KEYS = {
     "piecewise_linear": _PROBLEM_SHARED | {"d", "pieces", "seed", "anchor"},
     "hinge_svm": _PROBLEM_SHARED | {"n", "d", "seed", "add_bias", "data_path"},
     "matrix_svm": _PROBLEM_SHARED | {"n", "rows", "cols", "seed"},
 }
 _SOLVER_SHARED = {"name", "batch_size"}
-_SPLITTING = _SOLVER_SHARED | {"sigma_override", "preset", "c", "cprime", "dist_estimate",
-                               "domain_radius", "project_inner"}
+_SPLITTING = _SOLVER_SHARED | {"c", "cprime", "dist_estimate"}
 SOLVER_KEYS = {
     "mopes": _SPLITTING,
     "moles": _SPLITTING | {"projection_mode"},
     "pgd": _SOLVER_SHARED | {"steps", "stepsize_rule", "trace_every"},
-    "fw_pgd": _SOLVER_SHARED | {"sigma_override", "steps", "mode", "trace_every", "max_lmo",
-                                "target_gap"},
+    "fw_pgd": _SOLVER_SHARED | {"steps", "mode", "trace_every", "max_lmo", "target_gap"},
 }
 
 
@@ -73,6 +68,12 @@ def _reject_unknown_keys(where: str, given, known: set) -> None:
     unknown = sorted(set(given) - known)
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+
+
+def _json_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, not {type(value).__name__}")
+    return dict(value)
 
 
 @dataclass
@@ -90,7 +91,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _reject_unknown_keys("config", raw, CONFIG_KEYS)
+        _reject_unknown_keys("config", _json_object(raw, "config"), CONFIG_KEYS)
         try:
             cfg = cls(
                 seed=int(raw.get("seed", 0)),
@@ -98,8 +99,8 @@ class ExperimentConfig:
                 repetitions=int(raw.get("repetitions", 1)),
                 epsilons=[float(e) for e in raw["epsilons"]],
                 reference_budget=int(raw.get("reference_budget", 10 ** 5)),
-                problem=dict(raw["problem"]),
-                solvers=[dict(s) for s in raw["solvers"]],
+                problem=_json_object(raw["problem"], "problem"),
+                solvers=[_json_object(s, "solver entry") for s in raw["solvers"]],
                 record_wall_time=bool(raw.get("record_wall_time", False)),
             )
         except KeyError as exc:
@@ -119,8 +120,6 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown solver {spec.get('name')!r}; "
                                   f"registered: {', '.join(SOLVER_KEYS)}")
             _reject_unknown_keys(f"{spec['name']} solver", spec, SOLVER_KEYS[spec["name"]])
-            if spec.get("preset", "default") not in PRESETS:
-                raise ConfigError(f"unknown preset {spec['preset']!r}")
         return cfg
 
 
@@ -139,7 +138,7 @@ def build_problem(problem_cfg: dict):
     """Instantiate the problem and constraint set of an experiment.
 
     Returns ``(instance, set_descriptor, lipschitz)`` where the Lipschitz
-    constant is the certified bound unless overridden by ``g_override``.
+    constant is the instance's certified bound.
     """
     kind = problem_cfg.get("kind")
     radius = float(problem_cfg.get("radius", 1.0))
@@ -179,12 +178,10 @@ def build_problem(problem_cfg: dict):
         descriptor = SetDescriptor(set_kind, radius, (int(np.prod(shape)),))
     else:
         descriptor = SetDescriptor(set_kind, radius, shape)
-    lipschitz = float(problem_cfg.get("g_override") or instance.lipschitz_bound)
-    return instance, descriptor, lipschitz
+    return instance, descriptor, float(instance.lipschitz_bound)
 
 
-def reference_optimum(problem, feasible_set: SetDescriptor, budget: int,
-                      lipschitz: float | None = None, seed: int = 0):
+def reference_optimum(problem, feasible_set: SetDescriptor, budget: int, seed: int = 0):
     """Estimate the optimal value by a long diminishing-step subgradient run.
 
     Returns ``(f_star, x_star)`` where ``f_star`` is the best objective
@@ -193,12 +190,10 @@ def reference_optimum(problem, feasible_set: SetDescriptor, budget: int,
     """
     if budget < 10 ** 4:
         raise ValueError("reference budget must be at least 10^4 steps")
-    lipschitz = float(lipschitz if lipschitz is not None else problem.lipschitz_bound)
     fo = FirstOrderOracle.from_instance(problem)
-    fo.lipschitz_bound = lipschitz
     po = ProjectionOracle.from_set(feasible_set)
     x0 = np.zeros(feasible_set.dim)
-    result = pgd(problem, fo, po, x0, budget, lipschitz, feasible_set.diameter,
+    result = pgd(problem, fo, po, x0, budget, fo.lipschitz_bound, feasible_set.diameter,
                  stepsize_rule="diminishing", seed=seed,
                  trace_every=max(1, budget // 50))
     return float(result.f_best), result.x_best
@@ -242,21 +237,13 @@ def _run_single(spec: dict, problem, descriptor: SetDescriptor, lipschitz: float
         sigma = math.sqrt(oracle.variance_bound)
     else:
         oracle = FirstOrderOracle.from_instance(problem)
-        oracle.lipschitz_bound = lipschitz
         sigma = 0.0
-    sigma = float(spec.get("sigma_override", sigma))
 
     if name in ("mopes", "moles"):
-        preset = PRESETS[spec["preset"]] if "preset" in spec else {}
-        c = float(spec.get("c", preset.get("c", 1.0)))
-        cprime = float(spec.get("cprime", preset.get("cprime", 1.0)))
-        dist_estimate = spec.get("dist_estimate")
         config = SolverConfig.from_target(
-            eps, lipschitz, descriptor.diameter, method=name, c=c, cprime=cprime,
-            sigma=sigma, seed=run_seed,
-            dist_estimate=None if dist_estimate is None else float(dist_estimate),
-            domain_radius=spec.get("domain_radius"),
-            project_inner=bool(spec.get("project_inner", True)),
+            eps, lipschitz, descriptor.diameter, method=name, c=float(spec.get("c", 1.0)),
+            cprime=float(spec.get("cprime", 1.0)), sigma=sigma, seed=run_seed,
+            dist_estimate=spec.get("dist_estimate"),
             projection_mode=spec.get("projection_mode", "budget"),
         )
         if name == "mopes":
@@ -281,18 +268,11 @@ def _run_single(spec: dict, problem, descriptor: SetDescriptor, lipschitz: float
 
 def _aggregate_rows(label: str, eps: float, traces: list[RunTrace], seed: int) -> list[str]:
     """Mean across repetitions, aligned by row index."""
-    n_rows = min(len(t.records) for t in traces)
-    rows = []
-    tag = f"{label}|eps={eps!r}"
-    for i in range(n_rows):
-        recs = [t.records[i] for t in traces]
-        k = recs[0].k
-        means = [float(np.mean([getattr(r, name) for r in recs]))
-                 for name in ("fo_calls", "sfo_calls", "po_calls", "lmo_calls",
-                              "f_value", "gap")]
-        rows.append(f"{tag},{k},{means[0]!r},{means[1]!r},{means[2]!r},{means[3]!r},"
-                    f"{means[4]!r},{means[5]!r},{0.0!r},{seed}")
-    return rows
+    columns = ("fo_calls", "sfo_calls", "po_calls", "lmo_calls", "f_value", "gap")
+    records = [TraceRecord(recs[0].k, *(float(np.mean([getattr(r, name) for r in recs]))
+                                        for name in columns), wall_ms=0.0)
+               for recs in zip(*(t.records for t in traces))]
+    return RunTrace(f"{label}|eps={eps!r}", seed, records).csv_rows()
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -307,7 +287,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     problem, descriptor, lipschitz = build_problem(config.problem)
     f_ref, _ = reference_optimum(problem, descriptor, config.reference_budget,
-                                 lipschitz, seed=_seed_int(config.seed, 999))
+                                 seed=_seed_int(config.seed, 999))
     manifest = {"reference_value": f_ref, "files": [], "runs": [], "failed": []}
     groups: dict[tuple[str, float], list[RunTrace]] = {}
     for si, spec in enumerate(config.solvers):

@@ -52,24 +52,19 @@ class SolverConfig:
     ``lam`` is the smoothing parameter, ``outer_steps`` the number of outer
     iterations, ``d_tilde`` the distance-proxy constant entering the inner
     budgets, and ``sigma`` the stochastic-subgradient standard deviation
-    bound (zero for deterministic oracles).  ``dist_estimate`` stands in
-    for the unknown distance from the start point to a minimizer and
-    defaults to the set diameter.
+    bound (zero for deterministic oracles).  Inner iterates stay in the
+    ball of radius ``domain_radius``, where the first-order oracle is valid.
     """
 
-    eps: float
     lam: float
     outer_steps: int
     d_tilde: float
     lipschitz: float
     set_diameter: float
     domain_radius: float
-    dist_estimate: float
-    c: float = 1.0
     cprime: float = 1.0
     sigma: float = 0.0
     seed: int = 0
-    project_inner: bool = True
     projection_mode: str = "budget"  # "budget" | "wolfe"
 
     def __post_init__(self):
@@ -77,8 +72,8 @@ class SolverConfig:
             raise ValueError("lam must be positive")
         if self.outer_steps < 1:
             raise ValueError("outer_steps must be at least 1")
-        if self.d_tilde <= 0 or self.c <= 0 or self.cprime <= 0:
-            raise ValueError("d_tilde, c, cprime must be positive")
+        if self.d_tilde <= 0 or self.cprime <= 0:
+            raise ValueError("d_tilde, cprime must be positive")
         if self.lipschitz <= 0 or self.set_diameter <= 0 or self.domain_radius <= 0:
             raise ValueError("lipschitz, set_diameter, domain_radius must be positive")
         if self.projection_mode not in ("budget", "wolfe"):
@@ -96,18 +91,20 @@ class SolverConfig:
                     sigma: float = 0.0, seed: int = 0,
                     dist_estimate: float | None = None,
                     domain_radius: float | None = None,
-                    project_inner: bool = True,
                     projection_mode: str = "budget") -> "SolverConfig":
         """Derive the full configuration from a target accuracy.
 
         Sets ``lam = eps / G^2``, ``d_tilde = c * dist^2``, and the outer
         step count ``ceil(2 sqrt(10 + 8c) G dist / eps)`` for exact
         projections or ``ceil(2 sqrt(10 + 8c(1 + c')) G dist / eps)`` for
-        Frank-Wolfe approximated ones, where ``dist`` estimates the
-        distance from the start point to a minimizer.
+        Frank-Wolfe approximated ones, where ``dist`` (``dist_estimate``,
+        by default the set diameter) estimates the distance from the start
+        point to a minimizer.  ``domain_radius`` defaults to the set radius.
         """
         if eps <= 0:
             raise ValueError("target accuracy must be positive")
+        if c <= 0:
+            raise ValueError("c must be positive")
         dist = set_diameter if dist_estimate is None else float(dist_estimate)
         lam = eps / lipschitz ** 2
         if method == "mopes":
@@ -118,11 +115,10 @@ class SolverConfig:
         else:
             raise ValueError(f"unknown method {method!r}")
         return cls(
-            eps=eps, lam=lam, outer_steps=k_total, d_tilde=c * dist ** 2,
+            lam=lam, outer_steps=k_total, d_tilde=c * dist ** 2,
             lipschitz=lipschitz, set_diameter=set_diameter,
             domain_radius=set_diameter / 2.0 if domain_radius is None else domain_radius,
-            dist_estimate=dist, c=c, cprime=cprime, sigma=sigma, seed=seed,
-            project_inner=project_inner, projection_mode=projection_mode,
+            cprime=cprime, sigma=sigma, seed=seed, projection_mode=projection_mode,
         )
 
 
@@ -239,7 +235,6 @@ class SolverResult:
     counters: OracleCounters
     x_best: np.ndarray | None = None
     f_best: float | None = None
-    iterates: list[np.ndarray] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +315,7 @@ def _rng_for(seed: int):
 
 
 def prox_slide(sfo, g: np.ndarray, u0: np.ndarray, beta: float, iterations: int,
-               radius: float, rng, project_inner: bool = True) -> tuple[np.ndarray, np.ndarray]:
+               radius: float, rng) -> tuple[np.ndarray, np.ndarray]:
     """Sliding inner loop: approximately resolve ``prox_{f/beta}(u0 - g/beta)``.
 
     Runs ``iterations`` subgradient steps on the strongly convex
@@ -347,10 +342,9 @@ def prox_slide(sfo, g: np.ndarray, u0: np.ndarray, beta: float, iterations: int,
     for t in range(1, iterations + 1):
         ghat = sample(u, rng)
         u = u - (ghat + beta * (u - target)) * (1.0 / ((1.0 + 0.5 * t) * beta))
-        if project_inner:
-            nrm_sq = float(u @ u)
-            if nrm_sq > radius_sq:
-                u *= radius / math.sqrt(nrm_sq)
+        nrm_sq = float(u @ u)
+        if nrm_sq > radius_sq:
+            u *= radius / math.sqrt(nrm_sq)
         theta = 2.0 * (t + 1) / (t * (t + 3))
         avg = (1.0 - theta) * avg + theta * u
     return u, avg
@@ -388,6 +382,8 @@ def fw_quadratic_projection(target: np.ndarray, u0: np.ndarray,
         gap = beta * float((u - target) @ (u - s))
         if gap <= wolfe_tol:
             return u
+        if math.isnan(gap):
+            raise NumericalError("Frank-Wolfe projection: the Wolfe gap is NaN")
         t += 1
         if t > max_iter:
             raise NumericalError(
@@ -403,7 +399,7 @@ def fw_quadratic_projection(target: np.ndarray, u0: np.ndarray,
 
 def _moreau_splitting(problem, oracle, counters: OracleCounters, step,
                       config: SolverConfig, x0: np.ndarray, algorithm: str,
-                      f_ref: float | None, keep_iterates: bool) -> SolverResult:
+                      f_ref: float | None) -> SolverResult:
     """The accelerated Moreau-splitting loop shared by ``mopes`` and ``moles``.
 
     ``step(target, z_prev, sched)`` is the counted constrained move: an
@@ -423,7 +419,6 @@ def _moreau_splitting(problem, oracle, counters: OracleCounters, step,
     z_prime = x.copy()
 
     trace = RunTrace(algorithm, config.seed)
-    iterates = [] if keep_iterates else None
     t_start = time.perf_counter()
     for k in range(1, total + 1):
         sched = compute_schedule(lam, total, k, 1, config.lipschitz, config.sigma,
@@ -435,20 +430,16 @@ def _moreau_splitting(problem, oracle, counters: OracleCounters, step,
         z = step(z - grad_x_block / beta, z, sched)
         grad_prime_block = (y_prime - y) / lam
         z_prime, z_prime_avg = prox_slide(source, grad_prime_block, z_prime, beta,
-                                          sched.inner_steps, config.domain_radius, rng,
-                                          project_inner=config.project_inner)
+                                          sched.inner_steps, config.domain_radius, rng)
         x = (1.0 - gamma) * x + gamma * z
         x_prime = (1.0 - gamma) * x_prime + gamma * z_prime_avg
-        if iterates is not None:
-            iterates.append(x.copy())
         _trace_step(trace, k, counters, float(problem.value(x)), f_ref, t_start,
                     iterate_distance=float(np.linalg.norm(x - x_prime)))
-    return SolverResult(x=x, x_prime=x_prime, trace=trace, counters=counters,
-                        iterates=iterates)
+    return SolverResult(x=x, x_prime=x_prime, trace=trace, counters=counters)
 
 
 def mopes(problem, oracle, po: ProjectionOracle, config: SolverConfig, x0: np.ndarray,
-          f_ref: float | None = None, keep_iterates: bool = False) -> SolverResult:
+          f_ref: float | None = None) -> SolverResult:
     """Projection-efficient Moreau-splitting subgradient method.
 
     Uses one exact projection per outer step and
@@ -462,13 +453,11 @@ def mopes(problem, oracle, po: ProjectionOracle, config: SolverConfig, x0: np.nd
     def step(target, z_prev, sched):
         return project(target)
 
-    return _moreau_splitting(problem, oracle, counters, step, config, x0, "mopes",
-                             f_ref, keep_iterates)
+    return _moreau_splitting(problem, oracle, counters, step, config, x0, "mopes", f_ref)
 
 
 def moles(problem, oracle, lmo: LinearMinimizationOracle, config: SolverConfig,
-          x0: np.ndarray, f_ref: float | None = None,
-          keep_iterates: bool = False) -> SolverResult:
+          x0: np.ndarray, f_ref: float | None = None) -> SolverResult:
     """LMO-efficient variant: projections approximated by Frank-Wolfe.
 
     Identical to ``mopes`` except the constrained move.  Fixed-budget runs
@@ -488,8 +477,7 @@ def moles(problem, oracle, lmo: LinearMinimizationOracle, config: SolverConfig,
         def step(target, z_prev, sched):
             return fw_quadratic_projection(target, z_prev, counted, budget=sched.fw_budget)
 
-    return _moreau_splitting(problem, oracle, counters, step, config, x0, "moles",
-                             f_ref, keep_iterates)
+    return _moreau_splitting(problem, oracle, counters, step, config, x0, "moles", f_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +487,7 @@ def moles(problem, oracle, lmo: LinearMinimizationOracle, config: SolverConfig,
 
 def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
         lipschitz: float, set_diameter: float, stepsize_rule: str = "fixed",
-        seed: int = 0, f_ref: float | None = None, trace_every: int = 1,
-        keep_iterates: bool = False) -> SolverResult:
+        seed: int = 0, f_ref: float | None = None, trace_every: int = 1) -> SolverResult:
     """Projected subgradient descent with a fixed or diminishing stepsize.
 
     ``x_{k+1} = P_X(x_k - alpha_k g_k)`` with ``alpha_k`` equal to
@@ -527,7 +514,6 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
     weight_sum = 0.0
     best_val = math.inf
     best_x = x.copy()
-    iterates = [] if keep_iterates else None
     trace = RunTrace(f"pgd_{stepsize_rule}", seed)
     fixed_alpha = set_diameter / (lipschitz * math.sqrt(steps))
     t_start = time.perf_counter()
@@ -543,36 +529,34 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
         weighted += alpha * x
         weight_sum += alpha
         x = project(x - alpha * grad)
-        if iterates is not None:
-            iterates.append(x.copy())
         if k % trace_every == 0 or k == steps:
             _trace_step(trace, k, counters, float(problem.value(weighted / weight_sum)),
                         f_ref, t_start, f_current=float(value), f_best=best_val)
     return SolverResult(x=weighted / weight_sum, x_prime=None, trace=trace,
-                        counters=counters, x_best=best_x, f_best=best_val,
-                        iterates=iterates)
+                        counters=counters, x_best=best_x, f_best=best_val)
 
 
 def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps: int,
            lipschitz: float, sigma: float, set_diameter: float,
-           alpha: float | None = None, mode: str = "budget", seed: int = 0,
+           mode: str = "budget", seed: int = 0,
            f_ref: float | None = None, trace_every: int = 1,
-           max_lmo: int | None = None, target_gap: float | None = None,
-           keep_iterates: bool = False) -> SolverResult:
+           max_lmo: int | None = None, target_gap: float | None = None) -> SolverResult:
     """Projected subgradient descent with Frank-Wolfe approximate projections.
 
     Each step approximately projects ``x_k - alpha g_k`` back onto the set,
     to Wolfe-gap tolerance ``(G^2 + sigma^2) alpha`` (``mode="wolfe"``) or
     with the fixed per-step budget ``7 D^2 / (alpha^2 (G^2 + sigma^2))``
-    LMO calls, rounded up to the next integer (``mode="budget"``; for the
-    default stepsize that is ``28 * steps + 1`` calls per step).  The
-    default stepsize is ``D / (2 sqrt(G^2 + sigma^2) sqrt(steps))`` and the
-    returned point is the stepsize-weighted average of the visited
-    iterates.  Consumes exactly one subgradient call per step.
+    LMO calls, rounded up to the next integer (``mode="budget"``; that is
+    ``28 * steps + 1`` calls per step).  The stepsize is
+    ``alpha = D / (2 sqrt(G^2 + sigma^2) sqrt(steps))`` and the returned
+    point is the average of the visited iterates.  Consumes exactly one
+    subgradient call per step.
 
+    As in ``pgd``, trace rows carry the value of the running averaged
+    iterate in ``f_value`` and the raw iterate's value in ``f_current``.
     ``max_lmo`` and ``target_gap`` allow stopping a run early once the LMO
     spend or the traced gap crosses a threshold; counters then reflect the
-    truncated run.
+    truncated run, and its last row is the returned point.
     """
     if steps < 1:
         raise ValueError("steps must be a positive integer")
@@ -585,8 +569,7 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
     rng = _rng_for(seed)
 
     noise = lipschitz ** 2 + sigma ** 2
-    if alpha is None:
-        alpha = set_diameter / (2.0 * math.sqrt(noise) * math.sqrt(steps))
+    alpha = set_diameter / (2.0 * math.sqrt(noise) * math.sqrt(steps))
     wolfe_tol = noise * alpha
     # Next integer above the budget ratio; one extra step guards the
     # boundary where the ratio is itself integral.
@@ -594,28 +577,24 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
 
     weighted = np.zeros_like(x)
     weight_sum = 0.0
-    iterates = [] if keep_iterates else None
     trace = RunTrace(f"fw_pgd_{mode}", seed)
     t_start = time.perf_counter()
     for k in range(1, steps + 1):
         value, grad = source.sample_with_value(x, rng)
         weighted += alpha * x
         weight_sum += alpha
-        if k % trace_every == 0 or k == steps:
+        spent = max_lmo is not None and counters.lmo_calls >= max_lmo
+        if spent or k % trace_every == 0 or k == steps:
             if value is None:
                 value = problem.value(x)
-            record = _trace_step(trace, k, counters, float(value), f_ref, t_start)
-            if target_gap is not None and record.gap <= target_gap:
+            record = _trace_step(trace, k, counters, float(problem.value(weighted / weight_sum)),
+                                 f_ref, t_start, f_current=float(value))
+            if spent or (target_gap is not None and record.gap <= target_gap):
                 break
-        if max_lmo is not None and counters.lmo_calls >= max_lmo:
-            break
         target = x - alpha * grad
         if mode == "wolfe":
             x = fw_quadratic_projection(target, x, counted_lmo,
                                         beta=1.0 / alpha, wolfe_tol=wolfe_tol)
         else:
             x = fw_quadratic_projection(target, x, counted_lmo, budget=step_budget)
-        if iterates is not None:
-            iterates.append(x.copy())
-    return SolverResult(x=weighted / weight_sum, x_prime=None, trace=trace,
-                        counters=counters, iterates=iterates)
+    return SolverResult(x=weighted / weight_sum, x_prime=None, trace=trace, counters=counters)

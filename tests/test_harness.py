@@ -59,6 +59,11 @@ class TestConfig:
         ({"solvers": [{"name": "pgd", "projection_mode": "wolfe"}]}, "projection_mode"),
         ({"problem": {"kind": "piecewise_linear", "d": 4, "rows": 2}}, "rows"),
         ({"repetition": 2}, "repetition"),
+        ({"solvers": [{"name": "moles", "preset": "tuned"}]}, "preset"),
+        ({"problem": {"kind": "piecewise_linear", "d": 4, "g_override": 2.0}}, "g_override"),
+        ({"solvers": [{"name": "fw_pgd", "sigma_override": 0.5}]}, "sigma_override"),
+        ({"solvers": [{"name": "mopes", "domain_radius": 2.0}]}, "domain_radius"),
+        ({"solvers": [{"name": "mopes", "project_inner": False}]}, "project_inner"),
     ])
     def test_unknown_keys_rejected(self, tmp_path, overrides, key):
         with pytest.raises(ConfigError, match=f"unknown .* key\\(s\\): '{key}'"):
@@ -67,6 +72,12 @@ class TestConfig:
     def test_unknown_problem_kind_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown problem kind 'quadratic'"):
             small_config(tmp_path, problem={"kind": "quadratic"})
+
+    def test_readme_example_config_loads(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = ExperimentConfig.from_dict(json.loads(example))
+        assert [s["name"] for s in cfg.solvers] == ["mopes", "moles", "pgd", "fw_pgd"]
 
     def test_shipped_config_loads(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "desk_sweep.json"
@@ -209,11 +220,11 @@ class TestRunExperiment:
         assert statuses["pgd_fixed_eps0.3_rep0"] == "ok"
 
 
-    def test_non_finite_run_is_isolated(self, tmp_path, monkeypatch):
+    @staticmethod
+    def run_with_nan_minibatches(tmp_path, monkeypatch, solvers):
+        """Run ``solvers`` on a hinge problem whose minibatch subgradients are
+        NaN; the full first-order oracle, used by the reference solve, is not."""
         class NanMinibatchHinge(HingeSvmInstance):
-            """Hinge loss whose minibatch subgradients are NaN; the full
-            first-order oracle, used by the reference solve and pgd, is not."""
-
             def batch_subgradient(self, x, indices):
                 return np.full(self.dim, math.nan)
 
@@ -224,18 +235,30 @@ class TestRunExperiment:
             return NanMinibatchHinge(problem.rows), descriptor, lipschitz
 
         monkeypatch.setattr(harness, "build_problem", build_nan)
-        cfg = small_config(tmp_path,
-                           problem={"kind": "hinge_svm", "n": 20, "d": 4, "seed": 1,
-                                    "set": "l1_ball", "radius": 1.0},
-                           solvers=[{"name": "mopes", "batch_size": 2},
+        return run_experiment(small_config(
+            tmp_path, problem={"kind": "hinge_svm", "n": 20, "d": 4, "seed": 1,
+                               "set": "l1_ball", "radius": 1.0}, solvers=solvers))
+
+    def test_non_finite_run_is_isolated(self, tmp_path, monkeypatch):
+        manifest = self.run_with_nan_minibatches(
+            tmp_path, monkeypatch, [{"name": "mopes", "batch_size": 2},
                                     {"name": "pgd", "steps": 50}])
-        manifest = run_experiment(cfg)
         assert [f["run"] for f in manifest["failed"]] == ["mopes_eps0.3_rep0"]
         assert "not finite" in manifest["failed"][0]["error"]
         pgd_csv = [f for f in manifest["files"] if "pgd_fixed" in f]
         rows = open(pgd_csv[0]).read().splitlines()[1:]
         assert len(rows) == 50
         assert all(math.isfinite(float(row.split(",")[6])) for row in rows)
+
+    def test_nan_projection_run_is_isolated(self, tmp_path, monkeypatch):
+        # pgd on NaN minibatch subgradients hands the l1 projection a NaN point
+        manifest = self.run_with_nan_minibatches(
+            tmp_path, monkeypatch, [{"name": "pgd", "steps": 50, "batch_size": 2},
+                                    {"name": "mopes", "dist_estimate": 1.0}])
+        assert [f["run"] for f in manifest["failed"]] == ["pgd_fixed_eps0.3_rep0"]
+        assert "non-finite" in manifest["failed"][0]["error"]
+        assert [Path(f).name for f in manifest["files"]] == ["mopes_eps0.3_rep0.csv",
+                                                              "aggregate.csv"]
 
 
 class TestSlopeFits:
@@ -348,6 +371,18 @@ class TestCli:
         path = self.write_config(tmp_path, solvers=[{"name": "bogus"}])
         assert cli.main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: config:")
+
+    @pytest.mark.parametrize("raw", [
+        [],
+        {"epsilons": [0.1], "problem": "piecewise_linear", "solvers": []},
+        {"epsilons": [0.1], "problem": {"kind": "piecewise_linear"}, "solvers": [3]},
+    ])
+    def test_non_object_config_exit_code(self, tmp_path, capsys, raw):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "must be a JSON object" in err
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "absent.json")]) == 2

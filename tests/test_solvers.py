@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import nsopt.solvers
 from nsopt import (
     AbsoluteValueInstance,
     FirstOrderOracle,
     HingeSvmInstance,
     LinearMinimizationOracle,
     NumericalError,
+    OracleCounters,
     ProjectionOracle,
     SolverConfig,
     compute_schedule,
@@ -26,6 +28,7 @@ from nsopt import (
     prox_slide,
     synth_hinge_data,
     synth_piecewise_linear,
+    wrap_counting,
 )
 from nsopt.solvers import CSV_HEADER
 from conftest import philox
@@ -36,6 +39,27 @@ def abs_problem(anchor=0.6):
     fo = FirstOrderOracle.from_instance(inst)
     sd = l1_ball(1, 1.0)
     return inst, fo, sd
+
+
+class RecordingProblem:
+    """A problem that keeps every point its ``value`` is asked for; the
+    splitting solvers evaluate each outer iterate there."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.points = []
+
+    def value(self, x):
+        self.points.append(np.array(x, copy=True))
+        return self.problem.value(x)
+
+
+def recording_po(sd, points):
+    """A projection oracle for ``sd`` that keeps every point it returns."""
+    def project(x):
+        points.append(sd.project(x))
+        return points[-1]
+    return ProjectionOracle(project, sd)
 
 
 def sum_inner_steps(cfg):
@@ -87,8 +111,8 @@ class TestSolverConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SolverConfig(eps=0.1, lam=-1.0, outer_steps=5, d_tilde=1.0, lipschitz=1.0,
-                         set_diameter=2.0, domain_radius=1.0, dist_estimate=1.0)
+            SolverConfig(lam=-1.0, outer_steps=5, d_tilde=1.0, lipschitz=1.0,
+                         set_diameter=2.0, domain_radius=1.0)
         with pytest.raises(ValueError):
             SolverConfig.from_target(0.0, 1.0, 2.0)
         with pytest.raises(ValueError):
@@ -239,6 +263,13 @@ class TestFwQuadraticProjection:
             gap = beta * float((out - z) @ (out - s))
             assert gap <= 7.0 * beta * sd.diameter ** 2 / budget
 
+    def test_wolfe_mode_stops_on_nan_gap(self):
+        counters = OracleCounters()
+        lmo = wrap_counting(LinearMinimizationOracle.from_set(l1_ball(2, 1.0)), counters)
+        with pytest.raises(NumericalError, match="NaN"):
+            fw_quadratic_projection(np.full(2, math.nan), np.zeros(2), lmo, wolfe_tol=1e-3)
+        assert counters.lmo_calls == 1
+
     def test_mode_validation(self):
         sd = l1_ball(2, 1.0)
         lmo = LinearMinimizationOracle.from_set(sd)
@@ -254,12 +285,14 @@ class TestMopes:
         po = ProjectionOracle.from_set(sd)
         cfg = SolverConfig.from_target(0.05, 1.0, sd.diameter, method="mopes",
                                        dist_estimate=0.5, domain_radius=2.0, seed=1)
-        res = mopes(inst, fo, po, cfg, np.array([1.0]), keep_iterates=True)
+        recorder = RecordingProblem(inst)
+        res = mopes(recorder, fo, po, cfg, np.array([1.0]))
         assert res.trace.final.f_value <= 0.05
         assert res.counters.po_calls == cfg.outer_steps
         assert res.counters.fo_calls == sum_inner_steps(cfg)
         assert [r.po_calls for r in res.trace.records] == list(range(1, cfg.outer_steps + 1))
-        for x in res.iterates:
+        assert len(recorder.points) == cfg.outer_steps
+        for x in recorder.points:
             assert sd.membership_residual(x) <= 1e-8
 
     def test_rejects_infeasible_start(self):
@@ -298,10 +331,12 @@ class TestMoles:
         lmo = LinearMinimizationOracle.from_set(sd)
         cfg = SolverConfig.from_target(0.05, 1.0, sd.diameter, method="moles",
                                        dist_estimate=1.0, domain_radius=2.0, seed=1)
-        res = moles(inst, fo, lmo, cfg, np.array([1.0]), keep_iterates=True)
+        recorder = RecordingProblem(inst)
+        res = moles(recorder, fo, lmo, cfg, np.array([1.0]))
         assert res.trace.final.f_value <= 0.05
         assert res.counters.lmo_calls == cfg.outer_steps * cfg.fw_budget
-        for x in res.iterates:
+        assert len(recorder.points) == cfg.outer_steps
+        for x in recorder.points:
             assert sd.membership_residual(x) <= 1e-8
 
     def test_wolfe_stopping_mode(self):
@@ -325,9 +360,8 @@ class TestGenericLoop:
         x0 = np.array([1.0])
         dist_sq = 0.4 ** 2
         for lam, total in ((0.05, 80), (0.2, 30)):
-            cfg = SolverConfig(eps=0.1, lam=lam, outer_steps=total, d_tilde=1.0,
-                               lipschitz=1.0, set_diameter=2.0, domain_radius=2.0,
-                               dist_estimate=1.0, seed=0)
+            cfg = SolverConfig(lam=lam, outer_steps=total, d_tilde=1.0,
+                               lipschitz=1.0, set_diameter=2.0, domain_radius=2.0, seed=0)
             res = mopes(inst, fo, po, cfg, x0)
             bound = (10.0 * dist_sq + 8.0 * cfg.d_tilde) / (lam * total * (total + 1)) \
                 + lam / 2.0
@@ -350,20 +384,29 @@ class TestPgd:
     def test_minimizer_is_fixed_point(self):
         inst = AbsoluteValueInstance(np.array([0.0]))
         fo = FirstOrderOracle.from_instance(inst)
-        po = ProjectionOracle.from_set(l1_ball(1, 1.0))
-        res = pgd(inst, fo, po, np.array([0.0]), 200, 1.0, 2.0,
-                  stepsize_rule="diminishing", keep_iterates=True)
-        assert all(float(x[0]) == 0.0 for x in res.iterates)
+        iterates = []
+        po = recording_po(l1_ball(1, 1.0), iterates)
+        pgd(inst, fo, po, np.array([0.0]), 200, 1.0, 2.0, stepsize_rule="diminishing")
+        assert len(iterates) == 200
+        assert all(float(x[0]) == 0.0 for x in iterates)
 
     def test_feasibility_of_iterates(self, rng):
         inst = synth_piecewise_linear(5, 4, 3)
         fo = FirstOrderOracle.from_instance(inst)
         sd = l1_ball(5, 1.0)
-        po = ProjectionOracle.from_set(sd)
-        res = pgd(inst, fo, po, sd.boundary_point(rng), 500, 1.0, sd.diameter,
-                  keep_iterates=True)
-        for x in res.iterates:
+        iterates = []
+        pgd(inst, fo, recording_po(sd, iterates), sd.boundary_point(rng), 500, 1.0,
+            sd.diameter)
+        assert len(iterates) == 500
+        for x in iterates:
             assert sd.membership_residual(x) <= 1e-8
+
+    def test_nan_subgradient_is_a_numerical_error(self):
+        inst = AbsoluteValueInstance(np.array([math.nan]))
+        fo = FirstOrderOracle.from_instance(inst)
+        po = ProjectionOracle.from_set(l1_ball(1, 1.0))
+        with pytest.raises(NumericalError, match="non-finite"):
+            pgd(inst, fo, po, np.array([0.5]), 10, 1.0, 2.0)
 
     def test_invalid_arguments(self):
         inst, fo, sd = abs_problem(0.0)
@@ -403,15 +446,39 @@ class TestFwPgd:
         assert inst.value(res.x) <= 0.5
         assert res.counters.fo_calls == 64
 
-    def test_feasibility_of_iterates(self, rng):
+    def test_feasibility_of_iterates(self, rng, monkeypatch):
+        iterates = []
+
+        def recording_projection(*args, **kwargs):
+            iterates.append(fw_quadratic_projection(*args, **kwargs))
+            return iterates[-1]
+
+        monkeypatch.setattr(nsopt.solvers, "fw_quadratic_projection", recording_projection)
         inst = synth_piecewise_linear(5, 4, 3)
         fo = FirstOrderOracle.from_instance(inst)
         sd = l1_ball(5, 1.0)
         lmo = LinearMinimizationOracle.from_set(sd)
-        res = fw_pgd(inst, fo, lmo, sd.boundary_point(rng), 20, 1.0, 0.0, sd.diameter,
-                     keep_iterates=True)
-        for x in res.iterates:
+        fw_pgd(inst, fo, lmo, sd.boundary_point(rng), 20, 1.0, 0.0, sd.diameter)
+        assert len(iterates) == 20
+        for x in iterates:
             assert sd.membership_residual(x) <= 1e-8
+
+    def test_trace_follows_the_returned_average(self, rng):
+        inst = synth_piecewise_linear(5, 4, 3)
+        fo = FirstOrderOracle.from_instance(inst)
+        sd = l1_ball(5, 1.0)
+        lmo = LinearMinimizationOracle.from_set(sd)
+        x0 = sd.boundary_point(rng)
+        res = fw_pgd(inst, fo, lmo, x0, 20, 1.0, 0.0, sd.diameter)
+        assert res.trace.final.f_value == inst.value(res.x)
+        first = res.trace.records[0]
+        assert first.f_current == inst.value(x0)
+        assert first.f_value == pytest.approx(first.f_current, rel=1e-12)
+        # a run stopped by its LMO cap ends on a row for the point it returns
+        capped = fw_pgd(inst, fo, lmo, x0, 20, 1.0, 0.0, sd.diameter, trace_every=7,
+                        max_lmo=1)
+        assert [r.k for r in capped.trace.records] == [2]
+        assert capped.trace.final.f_value == inst.value(capped.x)
 
 
 class TestDeterminismAndTraces:
