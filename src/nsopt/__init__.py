@@ -20,7 +20,6 @@ from .geometry import (
     project_l1_ball,
     project_l2_ball,
     project_nuclear_ball,
-    top_singular_pair,
 )
 from .harness import (
     ExperimentConfig,

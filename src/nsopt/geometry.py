@@ -1,9 +1,8 @@
 """Constraint-set descriptors and exact projection / linear-minimization kernels.
 
 Supports Euclidean balls, l1 balls, and nuclear-norm balls centered at the
-origin.  All kernels are pure functions; the only randomness is the start
-vector of the power iteration behind the nuclear-ball LMO, drawn from an
-explicit generator.
+origin.  All kernels are pure, deterministic functions of their inputs; the
+nuclear-ball kernels rest on one dense SVD each.
 """
 
 from __future__ import annotations
@@ -61,9 +60,13 @@ def lmo_l1_ball(g: np.ndarray, radius: float) -> np.ndarray:
 
 
 def full_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD of a dense matrix, raising ``NumericalError`` on failure."""
+    """Full SVD of a dense matrix, raising ``NumericalError`` on failure and
+    on an inf or NaN entry (LAPACK can spin without end on an inf)."""
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise NumericalError("SVD of a matrix with non-finite entries")
     try:
-        return np.linalg.svd(np.asarray(a, dtype=float), full_matrices=False)
+        return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
 
@@ -82,94 +85,23 @@ def project_nuclear_ball(x: np.ndarray, radius: float) -> np.ndarray:
     return (u * s_proj) @ vt
 
 
-def top_singular_pair(a: np.ndarray, tol: float = 1e-10, max_iter: int = 10000,
-                      rng=None) -> tuple[float, np.ndarray, np.ndarray]:
-    """Dominant singular triple of ``a`` by power iteration on ``a^T a``.
-
-    Returns ``(sigma, u, v)`` with unit vectors and ``u = a v / sigma``.
-    Iteration stops once the pair residual ``||a^T u - sigma v||`` falls
-    below ``tol * sigma``, or once the Rayleigh value stalls; near-equal
-    leading singular values rotate the pair arbitrarily slowly while the
-    value is already converged, and any vector in the leading subspace is
-    acceptable there.  The start vector comes from ``rng`` (a fixed-seed
-    generator when omitted), so results are deterministic per seed.
-
-    Raises ``ValueError`` on a zero matrix and ``NumericalError`` when
-    neither criterion triggers within ``max_iter`` sweeps.
-    """
-    a = np.asarray(a, dtype=float)
-    if not np.any(a):
-        raise ValueError("top singular pair of the zero matrix is undefined")
-    gen = rng if rng is not None else np.random.Generator(np.random.Philox(0))
-    v = gen.standard_normal(a.shape[1])
-    v /= np.linalg.norm(v)
-
-    def polish(v_cur, w_cur):
-        # Rayleigh-Ritz over span {v, a^T a v}: near-equal leading singular
-        # values rotate the power iterate arbitrarily slowly, but the top
-        # pair already lies in this 2-D span, so a 2-column SVD extracts it.
-        basis, _ = np.linalg.qr(np.column_stack([v_cur, w_cur]))
-        _, _, wt = np.linalg.svd(a @ basis, full_matrices=False)
-        v_new = basis @ wt[0]
-        return v_new / np.linalg.norm(v_new)
-
-    stall_rel = 1e-6
-    burn_in = 8
-    polish_period = 16
-    sigma_prev = -1.0
-    stall_hits = 0
-    polish_gain_small = False
-    for sweep in range(max_iter):
-        av = a @ v
-        sigma = float(np.linalg.norm(av))
-        if sigma == 0.0:
-            # Start vector fell in the null space; redraw.
-            v = gen.standard_normal(a.shape[1])
-            v /= np.linalg.norm(v)
-            continue
-        u = av / sigma
-        atu = a.T @ u
-        if np.linalg.norm(atu - sigma * v) <= tol * sigma:
-            return sigma, u, v
-        w = atu / np.linalg.norm(atu)
-        if sweep >= burn_in and sigma - sigma_prev <= stall_rel * sigma:
-            stall_hits += 1
-            if stall_hits >= 2:
-                if polish_gain_small:
-                    return sigma, u, v
-                v_new = polish(v, w)
-                gain = float(np.linalg.norm(a @ v_new)) - sigma
-                polish_gain_small = gain <= stall_rel * sigma
-                v = v_new
-                stall_hits = 0
-                sigma_prev = -1.0
-                continue
-        else:
-            stall_hits = 0
-        if sweep % polish_period == polish_period - 1:
-            v = polish(v, w)
-            sigma_prev = -1.0
-        else:
-            sigma_prev = sigma
-            v = w
-    raise NumericalError(f"power iteration did not converge in {max_iter} sweeps")
-
-
 def lmo_nuclear_ball(g: np.ndarray, radius: float, tol: float = 1e-10,
                      max_iter: int = 10000, rng=None) -> np.ndarray:
     """Rank-1 extreme point of the nuclear ball minimizing ``<g, s>``.
 
-    Computes the top singular pair of ``g`` and returns ``-radius * u v^T``.
-    A zero input, where every direction ties, maps to a fixed canonical
-    vertex so the output stays deterministic.
+    Takes the top singular pair ``(u, v)`` of ``g`` from a dense SVD and
+    returns ``-radius * u v^T``.  A zero input, where every direction ties,
+    maps to a fixed canonical vertex so the output stays deterministic.
+    ``tol``, ``max_iter`` and ``rng`` are accepted for compatibility only:
+    the SVD is exact, so the result is independent of them.
     """
     g = np.asarray(g, dtype=float)
     if not np.any(g):
         s = np.zeros_like(g)
         s[0, 0] = -radius
         return s
-    _, u, v = top_singular_pair(g, tol=tol, max_iter=max_iter, rng=rng)
-    return -radius * np.outer(u, v)
+    u, _, vt = full_svd(g)
+    return -radius * np.outer(u[:, 0], vt[0])
 
 
 @dataclass(frozen=True)
@@ -218,7 +150,7 @@ class SetDescriptor:
             return float(np.linalg.norm(x))
         if self.kind == "l1_ball":
             return float(np.abs(x).sum())
-        return float(np.linalg.svd(x.reshape(self.shape), compute_uv=False).sum())
+        return float(full_svd(x.reshape(self.shape))[1].sum())
 
     def membership_residual(self, x: np.ndarray) -> float:
         return max(0.0, self.norm(x) - self.radius)
@@ -234,7 +166,7 @@ class SetDescriptor:
             return project_l1_ball(x, self.radius)
         return project_nuclear_ball(x.reshape(self.shape), self.radius).ravel()
 
-    def lmo(self, g: np.ndarray, rng=None) -> np.ndarray:
+    def lmo(self, g: np.ndarray) -> np.ndarray:
         g = np.asarray(g, dtype=float)
         if self.kind == "l1_ball":
             return lmo_l1_ball(g, self.radius)
@@ -245,7 +177,7 @@ class SetDescriptor:
                 s[0] = -self.radius
                 return s
             return -self.radius / nrm * g
-        return lmo_nuclear_ball(g.reshape(self.shape), self.radius, rng=rng).ravel()
+        return lmo_nuclear_ball(g.reshape(self.shape), self.radius).ravel()
 
     def boundary_point(self, rng) -> np.ndarray:
         """A random point with norm exactly ``radius`` (rank-1 for the

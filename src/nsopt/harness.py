@@ -92,19 +92,25 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _reject_unknown_keys("config", _json_object(raw, "config"), CONFIG_KEYS)
-        try:
-            cfg = cls(
-                seed=int(raw.get("seed", 0)),
-                output_dir=str(raw.get("output_dir", "nsopt_out")),
-                repetitions=int(raw.get("repetitions", 1)),
-                epsilons=[float(e) for e in raw["epsilons"]],
-                reference_budget=int(raw.get("reference_budget", 10 ** 5)),
-                problem=_json_object(raw["problem"], "problem"),
-                solvers=[_json_object(s, "solver entry") for s in raw["solvers"]],
-                record_wall_time=bool(raw.get("record_wall_time", False)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config key: {exc.args[0]}") from None
+
+        def read(key, convert, *default):
+            if key not in raw and not default:
+                raise ConfigError(f"missing config key: {key}")
+            try:
+                return convert(raw.get(key, *default))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from None
+
+        cfg = cls(
+            seed=read("seed", int, 0),
+            output_dir=read("output_dir", str, "nsopt_out"),
+            repetitions=read("repetitions", int, 1),
+            epsilons=read("epsilons", lambda v: [float(e) for e in v]),
+            reference_budget=read("reference_budget", int, 10 ** 5),
+            problem=read("problem", lambda v: _json_object(v, "problem")),
+            solvers=read("solvers", lambda v: [_json_object(s, "solver entry") for s in v]),
+            record_wall_time=read("record_wall_time", bool, False),
+        )
         kind = cfg.problem.get("kind")
         if kind not in PROBLEM_KEYS:
             raise ConfigError(f"unknown problem kind {kind!r}")
@@ -228,8 +234,7 @@ def _run_single(spec: dict, problem, descriptor: SetDescriptor, lipschitz: float
     # repetition, mirroring mean-over-runs plots with common starts.
     x0 = descriptor.boundary_point(_philox([global_seed, 1000003, rep]))
     po = ProjectionOracle.from_set(descriptor)
-    lmo = LinearMinimizationOracle.from_set(
-        descriptor, rng=_philox([global_seed, 2000003, solver_index, eps_index, rep]))
+    lmo = LinearMinimizationOracle.from_set(descriptor)
 
     batch_size = spec.get("batch_size")
     if batch_size:

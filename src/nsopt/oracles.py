@@ -104,7 +104,9 @@ class LinearMinimizationOracle:
 
     @classmethod
     def from_set(cls, descriptor, rng=None) -> "LinearMinimizationOracle":
-        return cls(lambda g: descriptor.lmo(g, rng=rng), descriptor)
+        """The set's exact LMO; ``rng`` is accepted for compatibility only
+        and cannot change the result, since every set's LMO is exact."""
+        return cls(descriptor.lmo, descriptor)
 
 
 def wrap_counting(oracle, counters: OracleCounters):

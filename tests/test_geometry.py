@@ -15,7 +15,6 @@ from nsopt import (
     project_l1_ball,
     project_l2_ball,
     project_nuclear_ball,
-    top_singular_pair,
 )
 from conftest import exact_l1_projection, philox
 
@@ -125,7 +124,7 @@ class TestNuclearLmo:
     def test_monte_carlo_optimality(self, rng):
         g = rng.standard_normal((5, 4))
         r = 1.2
-        s = lmo_nuclear_ball(g, r, rng=philox(1))
+        s = lmo_nuclear_ball(g, r)
         val = float((g * s).sum())
         for _ in range(10 ** 3):
             u = rng.standard_normal(5)
@@ -134,35 +133,74 @@ class TestNuclearLmo:
             assert val <= float((g * cand).sum()) + 1e-6
 
 
+def assert_top_pair_vertex(g, radius):
+    """The LMO output is a rank-1 point of nuclear norm ``radius`` whose
+    inner product with ``g`` is ``-radius * sigma_max(g)``."""
+    s = lmo_nuclear_ball(g, radius)
+    sv_g = np.linalg.svd(g, compute_uv=False)
+    sv_s = np.linalg.svd(s, compute_uv=False)
+    assert float((g * s).sum()) == pytest.approx(-radius * sv_g[0], rel=1e-12)
+    assert sv_s[0] == pytest.approx(radius, rel=1e-12)
+    assert sv_s[1:].sum() <= 1e-12 * radius
+    return s
+
+
 class TestTopSingularPair:
+    """The nuclear LMO's top singular pair, taken from a dense SVD."""
+
     def test_diagonal(self):
-        sigma, u, v = top_singular_pair(np.diag([2.0, 5.0]))
-        assert sigma == pytest.approx(5.0, abs=1e-10)
-        assert abs(v[1]) == pytest.approx(1.0, abs=1e-8)
-        # signs match: a v = sigma u
-        assert_allclose(np.diag([2.0, 5.0]) @ v, sigma * u, atol=1e-8)
+        s = assert_top_pair_vertex(np.diag([2.0, 5.0]), 0.7)
+        assert_allclose(s, [[0.0, 0.0], [0.0, -0.7]], atol=1e-15)
 
     def test_antidiagonal(self):
-        sigma, _, _ = top_singular_pair(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert sigma == pytest.approx(1.0, abs=1e-10)
+        assert_top_pair_vertex(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
 
     def test_matches_full_svd(self, rng):
-        for trial in range(50):
-            a = rng.standard_normal((6, 6))
-            sigma, u, v = top_singular_pair(a, rng=philox(trial))
-            assert abs(sigma - np.linalg.svd(a, compute_uv=False)[0]) <= 1e-8
-            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-            assert np.linalg.norm(a @ v - sigma * u) <= 1e-10 * sigma
+        for _ in range(50):
+            assert_top_pair_vertex(rng.standard_normal((6, 6)), float(rng.uniform(0.2, 3.0)))
 
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            top_singular_pair(np.zeros((3, 3)))
+    def test_zero_matrix_canonical_vertex(self):
+        s = lmo_nuclear_ball(np.zeros((3, 3)), 2.0)
+        expected = np.zeros((3, 3))
+        expected[0, 0] = -2.0
+        assert np.array_equal(s, expected)
 
-    def test_budget_exhaustion(self, rng):
-        a = rng.standard_normal((8, 8))
+    @pytest.mark.parametrize("shape", [(7, 3), (3, 7), (30, 30)])
+    def test_tall_wide_and_large(self, rng, shape):
+        for _ in range(5):
+            assert_top_pair_vertex(rng.standard_normal(shape), 1.3)
+
+    def test_near_equal_leading_values(self):
+        assert_top_pair_vertex(np.diag([1.0, 1.0 - 1e-12, 0.5]), 1.0)
+
+    def test_independent_of_rng(self, rng):
+        g = rng.standard_normal((5, 4))
+        s1 = lmo_nuclear_ball(g, 1.0, 1e-10, 10000, philox(1))
+        s2 = lmo_nuclear_ball(g, 1.0, 1e-3, 2, philox(2))
+        assert s1.tobytes() == s2.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+class TestNonFiniteSvdInput:
+    """LAPACK's SVD can spin without end on an inf entry and fails with a
+    ``LinAlgError`` on NaN, so every SVD-backed kernel rejects both first."""
+
+    def matrix(self, bad):
+        x = np.eye(3)
+        x[0, 0] = bad
+        return x
+
+    def test_projection(self, bad):
         with pytest.raises(NumericalError):
-            top_singular_pair(a, tol=1e-16, max_iter=2)
+            project_nuclear_ball(self.matrix(bad), 1.0)
+
+    def test_lmo(self, bad):
+        with pytest.raises(NumericalError):
+            lmo_nuclear_ball(self.matrix(bad), 1.0)
+
+    def test_norm(self, bad):
+        with pytest.raises(NumericalError):
+            nuclear_ball(3, 3, 1.0).norm(self.matrix(bad).ravel())
 
 
 @pytest.mark.parametrize("descriptor", [
@@ -194,7 +232,7 @@ class TestSetInvariants:
 
     def test_lmo_beats_feasible_samples(self, descriptor, rng):
         g = rng.standard_normal(descriptor.dim)
-        s = descriptor.lmo(g, rng=philox(5))
+        s = descriptor.lmo(g)
         assert descriptor.membership_residual(s) <= 1e-8
         for _ in range(300):
             y = descriptor.project(rng.standard_normal(descriptor.dim) * 2.0)

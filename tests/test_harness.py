@@ -384,6 +384,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and "must be a JSON object" in err
 
+    @pytest.mark.parametrize("key, value", [("epsilons", 0.1), ("repetitions", "two")])
+    def test_wrongly_typed_value_exit_code(self, tmp_path, capsys, key, value):
+        path = self.write_config(tmp_path, **{key: value})
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and repr(key) in err
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "absent.json")]) == 2
         assert "error:" in capsys.readouterr().err
