@@ -32,6 +32,8 @@ from .problems import (
 )
 from .solvers import (
     CSV_HEADER,
+    PROJECTION_MODES,
+    STEPSIZE_RULES,
     RunTrace,
     SolverConfig,
     TraceRecord,
@@ -43,42 +45,90 @@ from .solvers import (
 )
 
 OUTPUT_DIR_ENV = "NSOPT_OUTPUT_DIR"
-
-# Every key the harness reads: at the top level, per problem kind and per
-# solver.  Any other key is rejected, so a typo cannot fall back to a default.
-CONFIG_KEYS = {"seed", "output_dir", "repetitions", "epsilons", "reference_budget",
-               "problem", "solvers", "record_wall_time"}
-_PROBLEM_SHARED = {"kind", "set", "radius"}
-PROBLEM_KEYS = {
-    "piecewise_linear": _PROBLEM_SHARED | {"d", "pieces", "seed", "anchor"},
-    "hinge_svm": _PROBLEM_SHARED | {"n", "d", "seed", "add_bias", "data_path"},
-    "matrix_svm": _PROBLEM_SHARED | {"n", "rows", "cols", "seed"},
-}
-_SOLVER_SHARED = {"name", "batch_size"}
-_SPLITTING = _SOLVER_SHARED | {"c", "cprime", "dist_estimate"}
-SOLVER_KEYS = {
-    "mopes": _SPLITTING,
-    "moles": _SPLITTING | {"projection_mode"},
-    "pgd": _SOLVER_SHARED | {"steps", "stepsize_rule", "trace_every"},
-    "fw_pgd": _SOLVER_SHARED | {"steps", "mode", "trace_every", "max_lmo", "target_gap"},
-}
+_REQUIRED = object()  # the default of a key that a config must give
 
 
-def _reject_unknown_keys(where: str, given, known: set) -> None:
-    unknown = sorted(set(given) - known)
+def _choice(*allowed):
+    def convert(value):
+        if value not in allowed:
+            raise ValueError(f"{value!r} is not one of {', '.join(allowed)}")
+        return value
+    return convert
+
+
+def _read(where: str, raw, table: dict, tag: str | None = None) -> dict:
+    """Convert every key of the JSON object ``raw`` by ``table``, which maps
+    each key to ``(conversion, default)``; an absent or null key reads as its
+    default.  With ``tag``, ``table`` maps each value of that key (a problem
+    kind, a solver name) to the table to read.  Raises ``ConfigError``.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, not {type(raw).__name__}")
+    if tag is not None:
+        variant = raw.get(tag)
+        if not isinstance(variant, str) or variant not in table:
+            raise ConfigError(f"unknown {where} {tag} {variant!r}; one of {', '.join(table)}")
+        where, table = f"{variant} {where}", table[variant]
+    unknown = sorted(set(raw) - set(table))
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+    spec = {}
+    for key, (convert, default) in table.items():
+        if raw.get(key) is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing {where} key: {key}")
+            spec[key] = default
+            continue
+        try:
+            spec[key] = convert(raw[key])
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where} key {key!r}: {exc}") from None
+    return spec
 
 
-def _json_object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a JSON object, not {type(value).__name__}")
-    return dict(value)
+# Every key the harness reads, per problem kind, per solver and at the top
+# level, as ``key: (conversion, default)``.  Any other key is rejected, so a
+# typo cannot fall back to a default.
+_PROBLEM_SHARED = {"kind": (str, _REQUIRED), "set": (_choice(*SetDescriptor._KINDS), "l1_ball"),
+                   "radius": (float, 1.0), "seed": (int, 0)}
+PROBLEM_KEYS = {
+    "piecewise_linear": _PROBLEM_SHARED | {
+        "d": (int, 10), "pieces": (int, 6),
+        "anchor": (lambda v: np.asarray(v, dtype=float), None)},
+    "hinge_svm": _PROBLEM_SHARED | {
+        "n": (int, 100), "d": (int, 10), "add_bias": (bool, False), "data_path": (str, None)},
+    "matrix_svm": _PROBLEM_SHARED | {"n": (int, 50), "rows": (int, 4), "cols": (int, 4)},
+}
+_SOLVER_SHARED = {"name": (str, _REQUIRED), "batch_size": (int, None)}
+_SPLITTING = _SOLVER_SHARED | {"c": (float, 1.0), "cprime": (float, 1.0),
+                               "dist_estimate": (float, None)}
+_BASELINE = _SOLVER_SHARED | {"trace_every": (int, 1)}
+SOLVER_KEYS = {
+    "mopes": _SPLITTING,
+    "moles": _SPLITTING | {"projection_mode": (_choice(*PROJECTION_MODES), "budget")},
+    "pgd": _BASELINE | {"steps": (int, 10 ** 4),
+                        "stepsize_rule": (_choice(*STEPSIZE_RULES), "fixed")},
+    "fw_pgd": _BASELINE | {"steps": (int, None), "mode": (_choice(*PROJECTION_MODES), "budget"),
+                           "max_lmo": (float, None), "target_gap": (float, None)},
+}
+CONFIG_KEYS = {
+    "seed": (int, 0),
+    "output_dir": (str, "nsopt_out"),
+    "repetitions": (int, 1),
+    "epsilons": (lambda v: [float(e) for e in v], _REQUIRED),
+    "reference_budget": (int, 10 ** 5),
+    "problem": (lambda v: _read("problem", v, PROBLEM_KEYS, "kind"), _REQUIRED),
+    "solvers": (lambda v: [_read("solver", s, SOLVER_KEYS, "name") for s in v], _REQUIRED),
+    "record_wall_time": (bool, False),
+}
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description."""
+    """Validated experiment description: ``problem`` and each entry of
+    ``solvers`` hold every key of their ``PROBLEM_KEYS``/``SOLVER_KEYS`` table."""
 
     seed: int
     output_dir: str
@@ -87,45 +137,21 @@ class ExperimentConfig:
     reference_budget: int
     problem: dict
     solvers: list[dict]
-    record_wall_time: bool = False
+    record_wall_time: bool
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _reject_unknown_keys("config", _json_object(raw, "config"), CONFIG_KEYS)
-
-        def read(key, convert, *default):
-            if key not in raw and not default:
-                raise ConfigError(f"missing config key: {key}")
-            try:
-                return convert(raw.get(key, *default))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from None
-
-        cfg = cls(
-            seed=read("seed", int, 0),
-            output_dir=read("output_dir", str, "nsopt_out"),
-            repetitions=read("repetitions", int, 1),
-            epsilons=read("epsilons", lambda v: [float(e) for e in v]),
-            reference_budget=read("reference_budget", int, 10 ** 5),
-            problem=read("problem", lambda v: _json_object(v, "problem")),
-            solvers=read("solvers", lambda v: [_json_object(s, "solver entry") for s in v]),
-            record_wall_time=read("record_wall_time", bool, False),
-        )
-        kind = cfg.problem.get("kind")
-        if kind not in PROBLEM_KEYS:
-            raise ConfigError(f"unknown problem kind {kind!r}")
-        _reject_unknown_keys(f"{kind} problem", cfg.problem, PROBLEM_KEYS[kind])
+        cfg = cls(**_read("config", raw, CONFIG_KEYS))
         if cfg.repetitions < 1:
             raise ConfigError("repetitions must be at least 1")
         if not cfg.epsilons or any(e <= 0 for e in cfg.epsilons):
             raise ConfigError("epsilons must be a nonempty list of positive values")
         if len(set(cfg.epsilons)) != len(cfg.epsilons):
             raise ConfigError("epsilons must be distinct")
-        for spec in cfg.solvers:
-            if spec.get("name") not in SOLVER_KEYS:
-                raise ConfigError(f"unknown solver {spec.get('name')!r}; "
-                                  f"registered: {', '.join(SOLVER_KEYS)}")
-            _reject_unknown_keys(f"{spec['name']} solver", spec, SOLVER_KEYS[spec["name"]])
+        labels = [_solver_label(spec) for spec in cfg.solvers]
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            raise ConfigError(f"solver labels must be distinct; repeated: {', '.join(repeated)}")
         return cfg
 
 
@@ -143,48 +169,28 @@ def load_config(path: str) -> ExperimentConfig:
 def build_problem(problem_cfg: dict):
     """Instantiate the problem and constraint set of an experiment.
 
-    Returns ``(instance, set_descriptor, lipschitz)`` where the Lipschitz
-    constant is the instance's certified bound.
+    ``problem_cfg`` is read by ``PROBLEM_KEYS``.  Returns ``(instance,
+    set_descriptor, lipschitz)`` where the Lipschitz constant is the
+    instance's certified bound.
     """
-    kind = problem_cfg.get("kind")
-    radius = float(problem_cfg.get("radius", 1.0))
-    set_kind = problem_cfg.get("set", "l1_ball")
-    if kind == "piecewise_linear":
-        dim = int(problem_cfg.get("d", 10))
-        pieces = int(problem_cfg.get("pieces", 6))
-        seed = int(problem_cfg.get("seed", 0))
-        anchor = problem_cfg.get("anchor")
-        anchor = None if anchor is None else np.asarray(anchor, dtype=float)
-        instance = synth_piecewise_linear(dim, pieces, seed, anchor=anchor)
-        shape = (dim,)
-    elif kind == "hinge_svm":
-        if "data_path" in problem_cfg:
-            rows = load_dense_csv(problem_cfg["data_path"],
-                                  add_bias=bool(problem_cfg.get("add_bias", False)))
-        else:
-            rows = synth_hinge_data(int(problem_cfg.get("n", 100)),
-                                    int(problem_cfg.get("d", 10)),
-                                    int(problem_cfg.get("seed", 0)),
-                                    add_bias=bool(problem_cfg.get("add_bias", False)))
-        instance = HingeSvmInstance(rows)
-        shape = (instance.dim,)
-    elif kind == "matrix_svm":
-        rows_n = int(problem_cfg.get("n", 50))
-        m = int(problem_cfg.get("rows", 4))
-        p = int(problem_cfg.get("cols", 4))
-        seed = int(problem_cfg.get("seed", 0))
-        flat = synth_hinge_data(rows_n, m * p, seed)
-        instance = MatrixSvmInstance(flat.reshape(rows_n, m, p))
-        shape = (m, p)
-    else:
-        raise ConfigError(f"unknown problem kind {kind!r}")
-    if set_kind == "nuclear_ball" and len(shape) != 2:
+    spec = _read("problem", problem_cfg, PROBLEM_KEYS, "kind")
+    if spec["set"] == "nuclear_ball" and spec["kind"] != "matrix_svm":
         raise ConfigError("nuclear_ball set needs a matrix-shaped problem")
-    if set_kind != "nuclear_ball":
-        descriptor = SetDescriptor(set_kind, radius, (int(np.prod(shape)),))
+    if spec["kind"] == "piecewise_linear":
+        instance = synth_piecewise_linear(spec["d"], spec["pieces"], spec["seed"],
+                                          anchor=spec["anchor"])
+    elif spec["kind"] == "hinge_svm":
+        if spec["data_path"] is None:
+            rows = synth_hinge_data(spec["n"], spec["d"], spec["seed"], add_bias=spec["add_bias"])
+        else:
+            rows = load_dense_csv(spec["data_path"], add_bias=spec["add_bias"])
+        instance = HingeSvmInstance(rows)
     else:
-        descriptor = SetDescriptor(set_kind, radius, shape)
-    return instance, descriptor, float(instance.lipschitz_bound)
+        m, p = spec["rows"], spec["cols"]
+        flat = synth_hinge_data(spec["n"], m * p, spec["seed"])
+        instance = MatrixSvmInstance(flat.reshape(spec["n"], m, p))
+    shape = instance.shape if spec["set"] == "nuclear_ball" else (instance.dim,)
+    return instance, SetDescriptor(spec["set"], spec["radius"], shape), instance.lipschitz_bound
 
 
 def reference_optimum(problem, feasible_set: SetDescriptor, budget: int, seed: int = 0):
@@ -206,14 +212,13 @@ def reference_optimum(problem, feasible_set: SetDescriptor, budget: int, seed: i
 
 
 def _solver_label(spec: dict) -> str:
-    base = spec["name"]
-    if base == "pgd":
-        return f"pgd_{spec.get('stepsize_rule', 'fixed')}"
-    if base == "fw_pgd":
-        return f"fw_pgd_{spec.get('mode', 'budget')}"
-    if base == "moles" and spec.get("projection_mode", "budget") != "budget":
+    if spec["name"] == "pgd":
+        return f"pgd_{spec['stepsize_rule']}"
+    if spec["name"] == "fw_pgd":
+        return f"fw_pgd_{spec['mode']}"
+    if spec["name"] == "moles" and spec["projection_mode"] == "wolfe":
         return "moles_wolfe"
-    return base
+    return spec["name"]
 
 
 def _seed_int(*parts: int) -> int:
@@ -227,8 +232,13 @@ def _philox(key: list[int]) -> np.random.Generator:
 def _run_single(spec: dict, problem, descriptor: SetDescriptor, lipschitz: float,
                 eps: float, eps_index: int, solver_index: int, rep: int,
                 global_seed: int, f_ref: float):
-    """Execute one (solver, accuracy, repetition) run and return its trace."""
+    """Execute one (solver, accuracy, repetition) run and return its trace.
+
+    ``spec`` is a solver entry read by ``SOLVER_KEYS``; its keys other than
+    ``name`` and ``batch_size`` are the solver's own keyword arguments.
+    """
     name = spec["name"]
+    options = {key: value for key, value in spec.items() if key not in _SOLVER_SHARED}
     run_seed = _seed_int(global_seed, solver_index, eps_index, rep)
     # Starting points are shared across solvers and accuracies for a given
     # repetition, mirroring mean-over-runs plots with common starts.
@@ -236,39 +246,27 @@ def _run_single(spec: dict, problem, descriptor: SetDescriptor, lipschitz: float
     po = ProjectionOracle.from_set(descriptor)
     lmo = LinearMinimizationOracle.from_set(descriptor)
 
-    batch_size = spec.get("batch_size")
-    if batch_size:
-        oracle = minibatch_sfo(problem, int(batch_size))
+    if spec["batch_size"]:
+        oracle = minibatch_sfo(problem, spec["batch_size"])
         sigma = math.sqrt(oracle.variance_bound)
     else:
         oracle = FirstOrderOracle.from_instance(problem)
         sigma = 0.0
 
-    if name in ("mopes", "moles"):
-        config = SolverConfig.from_target(
-            eps, lipschitz, descriptor.diameter, method=name, c=float(spec.get("c", 1.0)),
-            cprime=float(spec.get("cprime", 1.0)), sigma=sigma, seed=run_seed,
-            dist_estimate=spec.get("dist_estimate"),
-            projection_mode=spec.get("projection_mode", "budget"),
-        )
-        if name == "mopes":
-            return mopes(problem, oracle, po, config, x0, f_ref=f_ref)
-        return moles(problem, oracle, lmo, config, x0, f_ref=f_ref)
     if name == "pgd":
-        steps = int(spec.get("steps", 10 ** 4))
-        return pgd(problem, oracle, po, x0, steps, lipschitz, descriptor.diameter,
-                   stepsize_rule=spec.get("stepsize_rule", "fixed"), seed=run_seed,
-                   f_ref=f_ref, trace_every=int(spec.get("trace_every", 1)))
+        return pgd(problem, oracle, po, x0, lipschitz=lipschitz,
+                   set_diameter=descriptor.diameter, seed=run_seed, f_ref=f_ref, **options)
     if name == "fw_pgd":
-        noise = math.sqrt(lipschitz ** 2 + sigma ** 2)
-        default_steps = math.ceil((2.0 * noise * descriptor.diameter / eps) ** 2)
-        steps = int(spec.get("steps", default_steps))
-        return fw_pgd(problem, oracle, lmo, x0, steps, lipschitz, sigma,
-                      descriptor.diameter, mode=spec.get("mode", "budget"),
-                      seed=run_seed, f_ref=f_ref,
-                      trace_every=int(spec.get("trace_every", 1)),
-                      max_lmo=spec.get("max_lmo"), target_gap=spec.get("target_gap"))
-    raise ConfigError(f"unknown solver {name!r}")
+        if options["steps"] is None:
+            noise = math.sqrt(lipschitz ** 2 + sigma ** 2)
+            options["steps"] = math.ceil((2.0 * noise * descriptor.diameter / eps) ** 2)
+        return fw_pgd(problem, oracle, lmo, x0, lipschitz=lipschitz, sigma=sigma,
+                      set_diameter=descriptor.diameter, seed=run_seed, f_ref=f_ref, **options)
+    config = SolverConfig.from_target(eps, lipschitz, descriptor.diameter, method=name,
+                                      sigma=sigma, seed=run_seed, **options)
+    if name == "mopes":
+        return mopes(problem, oracle, po, config, x0, f_ref=f_ref)
+    return moles(problem, oracle, lmo, config, x0, f_ref=f_ref)
 
 
 def _aggregate_rows(label: str, eps: float, traces: list[RunTrace], seed: int) -> list[str]:

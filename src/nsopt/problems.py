@@ -127,53 +127,30 @@ class HingeSvmInstance:
         return -(active @ rows) / len(indices)
 
 
-class MatrixSvmInstance:
+class MatrixSvmInstance(HingeSvmInstance):
     """Hinge-loss matrix classifier ``f(X) = (1/n) sum_i max(0, 1 - b_i <X, A_i>)``.
 
     Labels are folded into the stored matrices (``b_i * A_i``).  The solver
-    facing API works on flattened vectors of length ``m * p``; the matrix
-    API below keeps the natural shape.
+    facing API, inherited from ``HingeSvmInstance`` over the flattened
+    samples, works on vectors of length ``m * p``; the matrix API below
+    keeps the natural shape.
     """
 
     def __init__(self, mats: np.ndarray):
         self.mats = np.asarray(mats, dtype=float)
         if self.mats.ndim != 3:
             raise ValueError("mats must be (n, m, p) with labels folded in")
-        self._flat = HingeSvmInstance(self.mats.reshape(self.mats.shape[0], -1))
+        super().__init__(self.mats.reshape(self.mats.shape[0], -1))
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.mats.shape[1], self.mats.shape[2]
 
-    @property
-    def dim(self) -> int:
-        return self._flat.dim
-
-    @property
-    def n_terms(self) -> int:
-        return self.mats.shape[0]
-
-    @property
-    def lipschitz_bound(self) -> float:
-        return self._flat.lipschitz_bound
-
-    def term_norm_bound(self) -> float:
-        return self._flat.term_norm_bound()
-
-    def value(self, x: np.ndarray) -> float:
-        return self._flat.value(np.asarray(x, dtype=float).ravel())
-
-    def value_and_subgradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        return self._flat.value_and_subgradient(np.asarray(x, dtype=float).ravel())
-
-    def batch_subgradient(self, x: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        return self._flat.batch_subgradient(np.asarray(x, dtype=float).ravel(), indices)
-
     def matrix_value_and_subgradient(self, x_mat: np.ndarray) -> tuple[float, np.ndarray]:
         x_mat = np.asarray(x_mat, dtype=float)
         if x_mat.shape != self.shape:
             raise ValueError(f"expected matrix of shape {self.shape}, got {x_mat.shape}")
-        value, grad = self._flat.value_and_subgradient(x_mat.ravel())
+        value, grad = self.value_and_subgradient(x_mat.ravel())
         return value, grad.reshape(self.shape)
 
 

@@ -38,6 +38,8 @@ from .oracles import (
 )
 
 CSV_HEADER = "algorithm,k,fo_calls,sfo_calls,po_calls,lmo_calls,f_value,gap,wall_ms,seed"
+PROJECTION_MODES = ("budget", "wolfe")  # a fixed Frank-Wolfe budget or a Wolfe-gap stop
+STEPSIZE_RULES = ("fixed", "diminishing")
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +67,7 @@ class SolverConfig:
     cprime: float = 1.0
     sigma: float = 0.0
     seed: int = 0
-    projection_mode: str = "budget"  # "budget" | "wolfe"
+    projection_mode: str = "budget"  # one of PROJECTION_MODES
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -76,8 +78,8 @@ class SolverConfig:
             raise ValueError("d_tilde, cprime must be positive")
         if self.lipschitz <= 0 or self.set_diameter <= 0 or self.domain_radius <= 0:
             raise ValueError("lipschitz, set_diameter, domain_radius must be positive")
-        if self.projection_mode not in ("budget", "wolfe"):
-            raise ValueError("projection_mode must be 'budget' or 'wolfe'")
+        if self.projection_mode not in PROJECTION_MODES:
+            raise ValueError(f"projection_mode must be one of {PROJECTION_MODES}")
 
     @property
     def fw_budget(self) -> int:
@@ -500,10 +502,10 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
     the method's guarantee speaks about) in ``f_value``; the raw iterate
     and best-so-far values ride along as ``f_current`` and ``f_best``.
     """
-    if steps < 1:
-        raise ValueError("steps must be a positive integer")
-    if stepsize_rule not in ("fixed", "diminishing"):
-        raise ValueError("stepsize_rule must be 'fixed' or 'diminishing'")
+    if steps < 1 or trace_every < 1:
+        raise ValueError("steps and trace_every must be positive integers")
+    if stepsize_rule not in STEPSIZE_RULES:
+        raise ValueError(f"stepsize_rule must be one of {STEPSIZE_RULES}")
     x = _check_start_point(x0, po)
     counters = OracleCounters()
     source = _SubgradientSource(oracle, counters)
@@ -550,7 +552,8 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
     ``28 * steps + 1`` calls per step).  The stepsize is
     ``alpha = D / (2 sqrt(G^2 + sigma^2) sqrt(steps))`` and the returned
     point is the average of the visited iterates.  Consumes exactly one
-    subgradient call per step.
+    subgradient call per step and ``steps - 1`` projections: the iterate
+    after the last step would not enter the average, so it is not computed.
 
     As in ``pgd``, trace rows carry the value of the running averaged
     iterate in ``f_value`` and the raw iterate's value in ``f_current``.
@@ -558,10 +561,10 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
     spend or the traced gap crosses a threshold; counters then reflect the
     truncated run, and its last row is the returned point.
     """
-    if steps < 1:
-        raise ValueError("steps must be a positive integer")
-    if mode not in ("budget", "wolfe"):
-        raise ValueError("mode must be 'budget' or 'wolfe'")
+    if steps < 1 or trace_every < 1:
+        raise ValueError("steps and trace_every must be positive integers")
+    if mode not in PROJECTION_MODES:
+        raise ValueError(f"mode must be one of {PROJECTION_MODES}")
     x = _check_start_point(x0, lmo)
     counters = OracleCounters()
     source = _SubgradientSource(oracle, counters)
@@ -589,7 +592,7 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
                 value = problem.value(x)
             record = _trace_step(trace, k, counters, float(problem.value(weighted / weight_sum)),
                                  f_ref, t_start, f_current=float(value))
-            if spent or (target_gap is not None and record.gap <= target_gap):
+            if spent or k == steps or (target_gap is not None and record.gap <= target_gap):
                 break
         target = x - alpha * grad
         if mode == "wolfe":

@@ -79,6 +79,25 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict(json.loads(example))
         assert [s["name"] for s in cfg.solvers] == ["mopes", "moles", "pgd", "fw_pgd"]
 
+    def test_readme_names_every_config_key(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        tables = [harness.CONFIG_KEYS, *harness.PROBLEM_KEYS.values(),
+                  *harness.SOLVER_KEYS.values()]
+        missing = {key for table in tables for key in table if f"`{key}`" not in readme}
+        assert not missing
+
+    def test_values_are_typed_and_defaulted_at_load(self, tmp_path):
+        cfg = small_config(tmp_path, seed="3", solvers=[{"name": "pgd", "steps": "50"},
+                                                        {"name": "moles", "c": None}])
+        assert cfg.seed == 3
+        assert cfg.problem == {"kind": "piecewise_linear", "set": "l1_ball", "radius": 1.0,
+                               "seed": 0, "d": 4, "pieces": 4, "anchor": None}
+        assert cfg.solvers == [
+            {"name": "pgd", "batch_size": None, "trace_every": 1, "steps": 50,
+             "stepsize_rule": "fixed"},
+            {"name": "moles", "batch_size": None, "c": 1.0, "cprime": 1.0,
+             "dist_estimate": None, "projection_mode": "budget"}]
+
     def test_shipped_config_loads(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "desk_sweep.json"
         assert [s["name"] for s in load_config(str(path)).solvers] == ["mopes", "pgd"]
@@ -390,6 +409,30 @@ class TestCli:
         assert cli.main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and repr(key) in err
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"problem": {"kind": "piecewise_linear", "d": "ten"}}, "'d'"),
+        ({"problem": {"kind": "piecewise_linear", "set": "l3_ball"}}, "'set'"),
+        ({"solvers": [{"name": "pgd", "steps": "many"}]}, "'steps'"),
+        ({"solvers": [{"name": "pgd", "stepsize_rule": "adaptive"}]}, "'stepsize_rule'"),
+        ({"solvers": [{"name": "moles", "projection_mode": "exact"}]}, "'projection_mode'"),
+        ({"solvers": [{"name": "mopes", "dist_estimate": "far"}]}, "'dist_estimate'"),
+        ({"solvers": [{"name": "fw_pgd", "max_lmo": "lots"}]}, "'max_lmo'"),
+        ({"solvers": [{"name": "mopes"}, {"name": "fw_pgd", "mode": "exact"}]}, "'mode'"),
+        ({"solvers": [{"name": "mopes", "c": 1.0}, {"name": "mopes", "c": 2.0}]}, "mopes"),
+        ({"solvers": [{"name": ["mopes"]}]}, "name"),
+    ], ids=["d", "set", "steps", "stepsize_rule", "projection_mode", "dist_estimate",
+            "max_lmo", "second_solver", "duplicate_label", "unhashable_name"])
+    def test_bad_value_fails_at_load(self, tmp_path, capsys, monkeypatch, overrides, named):
+        def no_reference(*args, **kwargs):
+            raise AssertionError("the reference solve ran before the config was checked")
+
+        monkeypatch.setattr(harness, "reference_optimum", no_reference)
+        path = self.write_config(tmp_path, **overrides)
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and named in err
+        assert not (tmp_path / "cli_out").exists()
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "absent.json")]) == 2

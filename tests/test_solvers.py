@@ -415,6 +415,8 @@ class TestPgd:
             pgd(inst, fo, po, np.array([0.0]), 0, 1.0, 2.0)
         with pytest.raises(ValueError):
             pgd(inst, fo, po, np.array([0.0]), 10, 1.0, 2.0, stepsize_rule="warm")
+        with pytest.raises(ValueError):
+            pgd(inst, fo, po, np.array([0.0]), 10, 1.0, 2.0, trace_every=0)
 
 
 class TestFwPgd:
@@ -427,8 +429,18 @@ class TestFwPgd:
         fo = FirstOrderOracle.from_instance(inst)
         lmo = LinearMinimizationOracle.from_set(l1_ball(1, 1.0))
         res = fw_pgd(inst, fo, lmo, np.array([1.0]), 4, 1.0, 0.0, 2.0)
-        assert res.counters.lmo_calls == 28 * 4 ** 2 + 4
+        # three projections of 28 * 4 + 1 calls feed the returned average
+        assert res.counters.lmo_calls == 3 * 113
         assert res.counters.fo_calls == 4
+
+    def test_invalid_arguments(self):
+        inst, fo, sd = abs_problem(0.0)
+        lmo = LinearMinimizationOracle.from_set(sd)
+        for kwargs in ({"steps": 0}, {"steps": 4, "trace_every": 0},
+                       {"steps": 4, "mode": "exact"}):
+            with pytest.raises(ValueError):
+                fw_pgd(inst, fo, lmo, np.array([0.0]), lipschitz=1.0, sigma=0.0,
+                       set_diameter=2.0, **kwargs)
 
     def test_average_iterate_rate(self):
         inst = AbsoluteValueInstance(np.array([0.0]))
@@ -459,7 +471,7 @@ class TestFwPgd:
         sd = l1_ball(5, 1.0)
         lmo = LinearMinimizationOracle.from_set(sd)
         fw_pgd(inst, fo, lmo, sd.boundary_point(rng), 20, 1.0, 0.0, sd.diameter)
-        assert len(iterates) == 20
+        assert len(iterates) == 19  # the last step's iterate is never averaged
         for x in iterates:
             assert sd.membership_residual(x) <= 1e-8
 
@@ -500,6 +512,33 @@ class TestDeterminismAndTraces:
             assert ra.f_value == rb.f_value and ra.gap == rb.gap
         assert np.array_equal(a.x, b.x)
         assert a.trace.csv_rows() == b.trace.csv_rows()
+
+    def test_counters_match_final_row(self):
+        # no oracle call is spent after the row that reports the returned point
+        inst, fo, sd = abs_problem(0.6)
+        po = ProjectionOracle.from_set(sd)
+        lmo = LinearMinimizationOracle.from_set(sd)
+        x0 = np.array([1.0])
+
+        def config(method, mode="budget"):
+            return SolverConfig.from_target(0.3, 1.0, sd.diameter, method=method,
+                                            dist_estimate=0.5, domain_radius=2.0, seed=3,
+                                            projection_mode=mode)
+
+        runs = [
+            mopes(inst, fo, po, config("mopes"), x0),
+            moles(inst, fo, lmo, config("moles"), x0),
+            moles(inst, fo, lmo, config("moles", "wolfe"), x0),
+            pgd(inst, fo, po, x0, 50, 1.0, 2.0, trace_every=7),
+            fw_pgd(inst, fo, lmo, x0, 8, 1.0, 0.0, 2.0, trace_every=3),
+            fw_pgd(inst, fo, lmo, x0, 8, 1.0, 0.0, 2.0, mode="wolfe"),
+            fw_pgd(inst, fo, lmo, x0, 8, 1.0, 0.0, 2.0, trace_every=3, max_lmo=300),
+        ]
+        for res in runs:
+            final = res.trace.final
+            assert res.counters.as_tuple() == (final.fo_calls, final.sfo_calls,
+                                               final.po_calls, final.lmo_calls)
+        assert runs[-1].trace.final.k < 8  # the capped run did stop early
 
     def test_csv_schema(self, tmp_path):
         inst, fo, sd = abs_problem(0.6)
