@@ -31,19 +31,25 @@ def project_l1_ball(x: np.ndarray, radius: float) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
-    if a.sum() <= radius:
+    if np.add.reduce(a) <= radius:
         return x.copy()
-    s = np.sort(a)[::-1]
-    cumulative = np.cumsum(s)
-    counts = np.arange(1, x.size + 1)
+    s = a.copy()
+    s.sort()
+    s = s[::-1]
+    cumulative = np.add.accumulate(s)
     # Largest prefix whose shifted values stay positive fixes the threshold.
     # Only a non-finite input leaves no positive prefix.
-    positive = np.nonzero(s - (cumulative - radius) / counts > 0)[0]
+    shifted = cumulative - radius
+    shifted /= np.arange(1, x.size + 1)
+    positive = (s > shifted).nonzero()[0]
     if positive.size == 0:
         raise NumericalError("l1-ball projection of a non-finite point")
     rho = int(positive[-1])
     theta = (cumulative[rho] - radius) / (rho + 1)
-    return np.sign(x) * np.maximum(a - theta, 0.0)
+    a -= theta
+    np.maximum(a, 0.0, out=a)
+    a *= np.sign(x)
+    return a
 
 
 def lmo_l1_ball(g: np.ndarray, radius: float) -> np.ndarray:

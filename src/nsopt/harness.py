@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
-from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,23 @@ from .solvers import (
 
 OUTPUT_DIR_ENV = "NSOPT_OUTPUT_DIR"
 _REQUIRED = object()  # the default of a key that a config must give
+
+
+def _integer(value) -> int:
+    """An int, or a float with an integral value; a bool, a string or a
+    fraction is rejected instead of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, not {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, not {value!r}")
+    return int(value)
+
+
+def _boolean(value) -> bool:
+    """JSON ``true`` or ``false`` only: ``bool("false")`` would read as true."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, not {value!r}")
+    return value
 
 
 def _choice(*allowed):
@@ -92,36 +110,39 @@ def _read(where: str, raw, table: dict, tag: str | None = None) -> dict:
 # level, as ``key: (conversion, default)``.  Any other key is rejected, so a
 # typo cannot fall back to a default.
 _PROBLEM_SHARED = {"kind": (str, _REQUIRED), "set": (_choice(*SetDescriptor._KINDS), "l1_ball"),
-                   "radius": (float, 1.0), "seed": (int, 0)}
+                   "radius": (float, 1.0), "seed": (_integer, 0)}
 PROBLEM_KEYS = {
     "piecewise_linear": _PROBLEM_SHARED | {
-        "d": (int, 10), "pieces": (int, 6),
+        "d": (_integer, 10), "pieces": (_integer, 6),
         "anchor": (lambda v: np.asarray(v, dtype=float), None)},
     "hinge_svm": _PROBLEM_SHARED | {
-        "n": (int, 100), "d": (int, 10), "add_bias": (bool, False), "data_path": (str, None)},
-    "matrix_svm": _PROBLEM_SHARED | {"n": (int, 50), "rows": (int, 4), "cols": (int, 4)},
+        "n": (_integer, 100), "d": (_integer, 10), "add_bias": (_boolean, False),
+        "data_path": (str, None)},
+    "matrix_svm": _PROBLEM_SHARED | {
+        "n": (_integer, 50), "rows": (_integer, 4), "cols": (_integer, 4)},
 }
-_SOLVER_SHARED = {"name": (str, _REQUIRED), "batch_size": (int, None)}
+_SOLVER_SHARED = {"name": (str, _REQUIRED), "batch_size": (_integer, None)}
 _SPLITTING = _SOLVER_SHARED | {"c": (float, 1.0), "cprime": (float, 1.0),
                                "dist_estimate": (float, None)}
-_BASELINE = _SOLVER_SHARED | {"trace_every": (int, 1)}
+_BASELINE = _SOLVER_SHARED | {"trace_every": (_integer, 1)}
 SOLVER_KEYS = {
     "mopes": _SPLITTING,
     "moles": _SPLITTING | {"projection_mode": (_choice(*PROJECTION_MODES), "budget")},
-    "pgd": _BASELINE | {"steps": (int, 10 ** 4),
+    "pgd": _BASELINE | {"steps": (_integer, 10 ** 4),
                         "stepsize_rule": (_choice(*STEPSIZE_RULES), "fixed")},
-    "fw_pgd": _BASELINE | {"steps": (int, None), "mode": (_choice(*PROJECTION_MODES), "budget"),
+    "fw_pgd": _BASELINE | {"steps": (_integer, None),
+                           "mode": (_choice(*PROJECTION_MODES), "budget"),
                            "max_lmo": (float, None), "target_gap": (float, None)},
 }
 CONFIG_KEYS = {
-    "seed": (int, 0),
+    "seed": (_integer, 0),
     "output_dir": (str, "nsopt_out"),
-    "repetitions": (int, 1),
+    "repetitions": (_integer, 1),
     "epsilons": (lambda v: [float(e) for e in v], _REQUIRED),
-    "reference_budget": (int, 10 ** 5),
+    "reference_budget": (_integer, 10 ** 5),
     "problem": (lambda v: _read("problem", v, PROBLEM_KEYS, "kind"), _REQUIRED),
     "solvers": (lambda v: [_read("solver", s, SOLVER_KEYS, "name") for s in v], _REQUIRED),
-    "record_wall_time": (bool, False),
+    "record_wall_time": (_boolean, False),
 }
 
 
@@ -269,12 +290,24 @@ def _run_single(spec: dict, problem, descriptor: SetDescriptor, lipschitz: float
     return moles(problem, oracle, lmo, config, x0, f_ref=f_ref)
 
 
+_MEAN_COLUMNS = operator.attrgetter("fo_calls", "sfo_calls", "po_calls", "lmo_calls",
+                                    "f_value", "gap")
+
+
 def _aggregate_rows(label: str, eps: float, traces: list[RunTrace], seed: int) -> list[str]:
-    """Mean across repetitions, aligned by row index."""
-    columns = ("fo_calls", "sfo_calls", "po_calls", "lmo_calls", "f_value", "gap")
-    records = [TraceRecord(recs[0].k, *(float(np.mean([getattr(r, name) for r in recs]))
-                                        for name in columns), wall_ms=0.0)
-               for recs in zip(*(t.records for t in traces))]
+    """Mean across repetitions, aligned by row index and cut to the shortest
+    trace (an early-stopped ``fw_pgd`` run is shorter).
+
+    The values form one C-contiguous ``(rows, columns, repetitions)`` array,
+    so ``mean(axis=-1)`` sums each row's repetitions with the same pairwise
+    summation as ``np.mean`` of their list, bit for bit; a reduction over a
+    leading axis would add them in another order.
+    """
+    rows = min(len(t.records) for t in traces)
+    values = np.stack([np.array(list(map(_MEAN_COLUMNS, t.records[:rows])), dtype=float)
+                       for t in traces], axis=-1)
+    records = [TraceRecord(r.k, *means, wall_ms=0.0)
+               for r, means in zip(traces[0].records, values.mean(axis=-1).tolist())]
     return RunTrace(f"{label}|eps={eps!r}", seed, records).csv_rows()
 
 
@@ -398,24 +431,34 @@ def fit_slopes(traces: dict[str, dict[float, list]], metric: str) -> SlopeReport
     return report
 
 
+class _AggregateRow(NamedTuple):
+    """The columns of an aggregate CSV row that slope fits read."""
+
+    fo_calls: float
+    sfo_calls: float
+    po_calls: float
+    lmo_calls: float
+    gap: float
+
+
 def _parse_aggregate(path: str) -> dict[str, dict[float, list]]:
     """Group aggregate CSV rows back into {solver: {eps: rows}}."""
     grouped: dict[str, dict[float, list]] = {}
+    tag = rows = None
     with open(path) as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ConfigError(f"{path}: unexpected CSV header")
         for line in fh:
-            parts = line.rstrip("\n").split(",")
-            tag = parts[0]
-            if "|eps=" not in tag:
-                raise ConfigError(f"{path}: row tag {tag!r} lacks an accuracy marker")
-            label, eps_part = tag.split("|eps=", 1)
-            eps = float(eps_part)
-            row = SimpleNamespace(fo_calls=float(parts[2]), sfo_calls=float(parts[3]),
-                                  po_calls=float(parts[4]), lmo_calls=float(parts[5]),
-                                  gap=float(parts[7]))
-            grouped.setdefault(label, {}).setdefault(eps, []).append(row)
+            parts = line.split(",")
+            if parts[0] != tag:
+                tag = parts[0]
+                if "|eps=" not in tag:
+                    raise ConfigError(f"{path}: row tag {tag!r} lacks an accuracy marker")
+                label, eps_part = tag.split("|eps=", 1)
+                rows = grouped.setdefault(label, {}).setdefault(float(eps_part), [])
+            rows.append(_AggregateRow(float(parts[2]), float(parts[3]), float(parts[4]),
+                                      float(parts[5]), float(parts[7])))
     return grouped
 
 

@@ -108,17 +108,21 @@ class HingeSvmInstance:
         return float(np.linalg.norm(self.rows, axis=1).max())
 
     def value(self, x: np.ndarray) -> float:
+        # add.reduce / n is the pairwise sum and division of .mean(), bit for
+        # bit, without its Python-level dispatch.
         margins = 1.0 - self.rows @ x
-        return float(np.maximum(margins, 0.0).mean())
+        return float(np.add.reduce(np.maximum(margins, 0.0, out=margins)) / margins.size)
 
     def value_and_subgradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        if x.shape != (self.dim,):
+        if x.shape != self.rows.shape[1:]:
             raise ValueError(f"expected point of dimension {self.dim}, got shape {x.shape}")
         margins = 1.0 - self.rows @ x
         # margin == 1 (i.e. 1 - <x, a_i> == 0) contributes zero by the tie rule
         active = (margins > 0.0).astype(float)
-        value = float(np.maximum(margins, 0.0).mean())
-        grad = -(active @ self.rows) / self.n_terms
+        n = margins.size
+        value = float(np.add.reduce(np.maximum(margins, 0.0, out=margins)) / n)
+        grad = active @ self.rows
+        grad /= -n  # equals -(active @ rows) / n: IEEE rounding is sign-symmetric
         return value, grad
 
     def batch_subgradient(self, x: np.ndarray, indices: np.ndarray) -> np.ndarray:

@@ -508,8 +508,8 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
         raise ValueError(f"stepsize_rule must be one of {STEPSIZE_RULES}")
     x = _check_start_point(x0, po)
     counters = OracleCounters()
-    source = _SubgradientSource(oracle, counters)
-    project = wrap_counting(po, counters).project
+    sample_with_value = _SubgradientSource(oracle, counters).sample_with_value
+    project = wrap_counting(po, counters)._project
     rng = _rng_for(seed)
 
     weighted = np.zeros_like(x)
@@ -517,13 +517,15 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
     best_val = math.inf
     best_x = x.copy()
     trace = RunTrace(f"pgd_{stepsize_rule}", seed)
-    fixed_alpha = set_diameter / (lipschitz * math.sqrt(steps))
+    diminishing = stepsize_rule == "diminishing"
+    alpha = set_diameter / (lipschitz * math.sqrt(steps))
     t_start = time.perf_counter()
     for k in range(1, steps + 1):
-        alpha = fixed_alpha if stepsize_rule == "fixed" else \
-            set_diameter / (lipschitz * math.sqrt(k))
-        value, grad = source.sample_with_value(x, rng)
-        if value is None and (k % trace_every == 0 or k == steps):
+        if diminishing:
+            alpha = set_diameter / (lipschitz * math.sqrt(k))
+        traced = k % trace_every == 0 or k == steps
+        value, grad = sample_with_value(x, rng)
+        if value is None and traced:
             value = float(problem.value(x))
         if value is not None and value < best_val:
             best_val = value
@@ -531,7 +533,7 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
         weighted += alpha * x
         weight_sum += alpha
         x = project(x - alpha * grad)
-        if k % trace_every == 0 or k == steps:
+        if traced:
             _trace_step(trace, k, counters, float(problem.value(weighted / weight_sum)),
                         f_ref, t_start, f_current=float(value), f_best=best_val)
     return SolverResult(x=weighted / weight_sum, x_prime=None, trace=trace,

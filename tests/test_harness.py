@@ -21,7 +21,7 @@ from nsopt import (
 )
 from nsopt import cli, harness
 from nsopt.harness import ExperimentConfig, build_problem, fit_loglog, fit_slopes_from_csv
-from nsopt.solvers import CSV_HEADER
+from nsopt.solvers import CSV_HEADER, RunTrace, TraceRecord
 from conftest import philox
 
 
@@ -87,9 +87,10 @@ class TestConfig:
         assert not missing
 
     def test_values_are_typed_and_defaulted_at_load(self, tmp_path):
-        cfg = small_config(tmp_path, seed="3", solvers=[{"name": "pgd", "steps": "50"},
-                                                        {"name": "moles", "c": None}])
-        assert cfg.seed == 3
+        cfg = small_config(tmp_path, seed=3.0, record_wall_time=True,
+                           solvers=[{"name": "pgd", "steps": 50.0}, {"name": "moles", "c": None}])
+        assert cfg.seed == 3 and type(cfg.seed) is int
+        assert cfg.record_wall_time is True
         assert cfg.problem == {"kind": "piecewise_linear", "set": "l1_ball", "radius": 1.0,
                                "seed": 0, "d": 4, "pieces": 4, "anchor": None}
         assert cfg.solvers == [
@@ -196,6 +197,28 @@ class TestRunExperiment:
         agg = np.array([[float(v) for v in r[1:9]] for r in agg_rows])
         # columns: k, fo, sfo, po, lmo, f_value, gap (wall excluded)
         assert np.all(np.abs(agg[:, :7] - mean[:, :7]) <= 1e-12)
+
+    @pytest.mark.parametrize("reps", [1, 2, 3, 9, 17])
+    def test_aggregate_rows_equal_the_per_row_mean_of_lists(self, reps):
+        # Traces of unequal length (as an early-stopped fw_pgd leaves them)
+        # with values over many magnitudes, so that the order of summation
+        # shows in the last bits.
+        gen = philox(reps)
+        columns = ("fo_calls", "sfo_calls", "po_calls", "lmo_calls", "f_value", "gap")
+        traces = []
+        for rep in range(reps):
+            records = []
+            for k in range(1, 30 + int(gen.integers(0, 6))):
+                counts = [int(v) for v in gen.integers(0, 10 ** 12, size=4)]
+                f_value, gap = gen.standard_normal(2) * 10.0 ** gen.integers(-8, 9, size=2)
+                records.append(TraceRecord(k, *counts, float(f_value), float(gap),
+                                           wall_ms=float(rep)))
+            traces.append(RunTrace("solver", rep, records))
+        means = [TraceRecord(recs[0].k, *(float(np.mean([getattr(r, name) for r in recs]))
+                                          for name in columns), wall_ms=0.0)
+                 for recs in zip(*(t.records for t in traces))]
+        expected = RunTrace("solver|eps=0.25", 7, means).csv_rows()
+        assert harness._aggregate_rows("solver", 0.25, traces, 7) == expected
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         override = tmp_path / "elsewhere"
@@ -421,8 +444,18 @@ class TestCli:
         ({"solvers": [{"name": "mopes"}, {"name": "fw_pgd", "mode": "exact"}]}, "'mode'"),
         ({"solvers": [{"name": "mopes", "c": 1.0}, {"name": "mopes", "c": 2.0}]}, "mopes"),
         ({"solvers": [{"name": ["mopes"]}]}, "name"),
+        ({"record_wall_time": "false"}, "'record_wall_time'"),
+        ({"record_wall_time": 0}, "'record_wall_time'"),
+        ({"problem": {"kind": "hinge_svm", "add_bias": "false"}}, "'add_bias'"),
+        ({"solvers": [{"name": "pgd", "steps": 2.5}]}, "'steps'"),
+        ({"problem": {"kind": "piecewise_linear", "d": 4.9}}, "'d'"),
+        ({"solvers": [{"name": "pgd", "steps": True}]}, "'steps'"),
+        ({"seed": "3"}, "'seed'"),
+        ({"repetitions": float("inf")}, "'repetitions'"),
     ], ids=["d", "set", "steps", "stepsize_rule", "projection_mode", "dist_estimate",
-            "max_lmo", "second_solver", "duplicate_label", "unhashable_name"])
+            "max_lmo", "second_solver", "duplicate_label", "unhashable_name",
+            "bool_string", "bool_int", "add_bias_string", "int_fraction", "d_fraction",
+            "int_bool", "int_string", "int_infinite"])
     def test_bad_value_fails_at_load(self, tmp_path, capsys, monkeypatch, overrides, named):
         def no_reference(*args, **kwargs):
             raise AssertionError("the reference solve ran before the config was checked")

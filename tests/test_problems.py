@@ -43,6 +43,20 @@ class TestHinge:
         with pytest.raises(ValueError):
             inst.value_and_subgradient(np.zeros(4))
 
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (200, 20), (1000, 5), (30, 2, 3)])
+    def test_value_and_fo_equal_the_mean_formula_bitwise(self, shape):
+        gen = philox(len(shape) * 1000 + shape[0])
+        data = gen.standard_normal(shape)
+        inst = HingeSvmInstance(data) if len(shape) == 2 else MatrixSvmInstance(data)
+        for _ in range(50):
+            x = gen.standard_normal(inst.dim) * gen.uniform(0.01, 3.0)
+            margins = 1.0 - inst.rows @ x
+            expected = float(np.maximum(margins, 0.0).mean())
+            expected_grad = -((margins > 0.0).astype(float) @ inst.rows) / shape[0]
+            value, grad = inst.value_and_subgradient(x)
+            assert inst.value(x) == expected and value == expected
+            assert grad.tobytes() == expected_grad.tobytes()
+
 
 class TestMatrixHinge:
     def test_zero_matrix_unit_loss(self):

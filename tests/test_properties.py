@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nsopt import lmo_l1_ball, lmo_nuclear_ball, project_l1_ball, project_nuclear_ball
+from nsopt.errors import NumericalError
 from conftest import exact_l1_projection
 
 # Derandomized so that the suite tests the same examples on every run.
@@ -29,8 +30,28 @@ radii = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
 entries = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 3.0, -3.0]),
                     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
 vectors = arrays(np.float64, st.integers(1, 8), elements=entries)
+long_vectors = arrays(np.float64, st.integers(1, 64), elements=entries)
 matrices = arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
                   elements=entries)
+
+
+def sort_threshold_l1_projection(x, radius):
+    """The sort-and-threshold l1 projection (Duchi et al. 2008), written with
+    one temporary per operation; ``project_l1_ball`` must equal it bit for
+    bit."""
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    if a.sum() <= radius:
+        return x.copy()
+    s = np.sort(a)[::-1]
+    cumulative = np.cumsum(s)
+    counts = np.arange(1, x.size + 1)
+    positive = np.nonzero(s - (cumulative - radius) / counts > 0)[0]
+    if positive.size == 0:
+        raise NumericalError("l1-ball projection of a non-finite point")
+    rho = int(positive[-1])
+    theta = (cumulative[rho] - radius) / (rho + 1)
+    return np.sign(x) * np.maximum(a - theta, 0.0)
 
 
 def nuclear_norm(a):
@@ -56,6 +77,15 @@ def test_project_l1_feasible_and_exact(x, radius):
     assert_projection_feasible(np.abs(p).sum(), radius, np.abs(x).sum())
     scale = max(radius, float(np.abs(x).max()))
     np.testing.assert_allclose(p, exact_l1_projection(x, radius), atol=1e-9 * scale)
+
+
+@PROPERTY
+@given(long_vectors, radii)
+def test_project_l1_bitwise_equals_sort_threshold_formula(x, radius):
+    p = project_l1_ball(x, radius)
+    expected = sort_threshold_l1_projection(x, radius)
+    assert np.array_equal(p, expected)
+    assert p.dtype == expected.dtype and p.tobytes() == expected.tobytes()
 
 
 @PROPERTY
