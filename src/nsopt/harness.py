@@ -16,8 +16,8 @@ import json
 import math
 import operator
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -431,14 +431,8 @@ def fit_slopes(traces: dict[str, dict[float, list]], metric: str) -> SlopeReport
     return report
 
 
-class _AggregateRow(NamedTuple):
-    """The columns of an aggregate CSV row that slope fits read."""
-
-    fo_calls: float
-    sfo_calls: float
-    po_calls: float
-    lmo_calls: float
-    gap: float
+# The columns of an aggregate CSV row that slope fits read.
+_AggregateRow = namedtuple("_AggregateRow", "fo_calls sfo_calls po_calls lmo_calls gap")
 
 
 def _parse_aggregate(path: str) -> dict[str, dict[float, list]]:
