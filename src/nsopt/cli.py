@@ -71,8 +71,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "sweep":
             manifest = run_experiment(load_config(args.config))
             agg = manifest["files"][-1]
-            for metric in sorted(METRIC_COLUMNS):
-                _print_slope_report(fit_slopes_from_csv(agg, metric))
+            for report in fit_slopes_from_csv(agg, sorted(METRIC_COLUMNS)):
+                _print_slope_report(report)
             print(json.dumps({"files": manifest["files"], "failed": manifest["failed"]}))
         elif args.command == "reference":
             cfg = load_config(args.config)
@@ -81,7 +81,8 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps({"reference_value": f_star,
                               "certificate": [float(v) for v in x_star]}))
         else:
-            _print_slope_report(fit_slopes_from_csv(args.aggregate, args.metric))
+            for report in fit_slopes_from_csv(args.aggregate, [args.metric]):
+                _print_slope_report(report)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

@@ -59,7 +59,7 @@ def lmo_l1_ball(g: np.ndarray, radius: float) -> np.ndarray:
     taken as ``+1``, so the output is deterministic.
     """
     g = np.asarray(g, dtype=float)
-    i = int(np.argmax(np.abs(g)))
+    i = np.abs(g).argmax()
     s = np.zeros_like(g)
     s[i] = -radius if g[i] >= 0 else radius
     return s

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, FormatError, NumericalError
 from .geometry import SetDescriptor
 from .oracles import FirstOrderOracle, LinearMinimizationOracle, ProjectionOracle, minibatch_sfo
 from .problems import (
@@ -433,30 +433,41 @@ def fit_slopes(traces: dict[str, dict[float, list]], metric: str) -> SlopeReport
 
 # The columns of an aggregate CSV row that slope fits read.
 _AggregateRow = namedtuple("_AggregateRow", "fo_calls sfo_calls po_calls lmo_calls gap")
+_CSV_FIELDS = CSV_HEADER.count(",") + 1
 
 
 def _parse_aggregate(path: str) -> dict[str, dict[float, list]]:
-    """Group aggregate CSV rows back into {solver: {eps: rows}}."""
+    """Group aggregate CSV rows back into {solver: {eps: rows}}.
+
+    Raises ``FormatError`` naming the path and line on a wrong header, a
+    row with the wrong number of fields, a field that is not a number, or
+    a row tag without an ``|eps=`` accuracy marker.
+    """
     grouped: dict[str, dict[float, list]] = {}
     tag = rows = None
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ConfigError(f"{path}: unexpected CSV header")
-        for line in fh:
+        if fh.readline().strip() != CSV_HEADER:
+            raise FormatError(f"{path}: line 1: unexpected CSV header")
+        for number, line in enumerate(fh, start=2):
             parts = line.split(",")
-            if parts[0] != tag:
-                tag = parts[0]
-                if "|eps=" not in tag:
-                    raise ConfigError(f"{path}: row tag {tag!r} lacks an accuracy marker")
-                label, eps_part = tag.split("|eps=", 1)
-                rows = grouped.setdefault(label, {}).setdefault(float(eps_part), [])
-            rows.append(_AggregateRow(float(parts[2]), float(parts[3]), float(parts[4]),
-                                      float(parts[5]), float(parts[7])))
+            try:
+                if len(parts) != _CSV_FIELDS:
+                    raise ValueError(f"expected {_CSV_FIELDS} fields, got {len(parts)}")
+                if parts[0] != tag:
+                    tag = parts[0]
+                    label, marker, eps_part = tag.partition("|eps=")
+                    if not marker:
+                        raise ValueError(f"row tag {tag!r} lacks an accuracy marker")
+                    rows = grouped.setdefault(label, {}).setdefault(float(eps_part), [])
+                rows.append(_AggregateRow(float(parts[2]), float(parts[3]), float(parts[4]),
+                                          float(parts[5]), float(parts[7])))
+            except ValueError as exc:
+                raise FormatError(f"{path}: line {number}: {exc}") from None
     return grouped
 
 
-def fit_slopes_from_csv(path: str, metric: str) -> SlopeReport:
-    """Slope report computed from an aggregate CSV written by
-    ``run_experiment``."""
-    return fit_slopes(_parse_aggregate(path), metric)
+def fit_slopes_from_csv(path: str, metrics) -> list[SlopeReport]:
+    """One slope report per name in ``metrics``, all from a single parse of
+    an aggregate CSV written by ``run_experiment``."""
+    grouped = _parse_aggregate(path)
+    return [fit_slopes(grouped, metric) for metric in metrics]

@@ -51,8 +51,9 @@ class PiecewiseLinearInstance:
     def value_and_subgradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         if x.shape != (self.dim,):
             raise ValueError(f"expected point of dimension {self.dim}, got shape {x.shape}")
-        scores = self.slopes @ x + self.intercepts
-        j = int(np.argmax(scores))  # argmax takes the lowest index on ties
+        scores = self.slopes @ x
+        scores += self.intercepts
+        j = scores.argmax()  # the lowest index on ties
         return float(scores[j]), self.slopes[j]
 
 

@@ -331,6 +331,11 @@ def prox_slide(sfo, g: np.ndarray, u0: np.ndarray, beta: float, iterations: int,
     ``sum_t 2(t+1) u_t / (T(T+3))``.  Consumes exactly ``iterations``
     subgradient calls and no set-oracle calls.  Returns the last iterate
     and the average.
+
+    The iterate lives in two buffers that take turns at every step, so the
+    point handed to ``sfo.sample`` is overwritten by a later step: an
+    oracle that keeps a query point must copy it.  ``u0`` and ``g`` are
+    only read.
     """
     if iterations < 1:
         raise ValueError("iteration budget must be a positive integer")
@@ -339,16 +344,29 @@ def prox_slide(sfo, g: np.ndarray, u0: np.ndarray, beta: float, iterations: int,
     u = np.array(u0, dtype=float, copy=True)
     avg = u.copy()
     target = u0 - g / beta
+    spare, step, scaled = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    subtract, multiply, add = np.subtract, np.multiply, np.add
     sample = sfo.sample
     radius_sq = radius * radius
+    # The updates round exactly as ``u - (ghat + beta (u - target))
+    # * (1 / ((1 + t/2) beta))`` and ``(1 - theta) avg + theta u`` do: keep
+    # their operations and order, or every trace changes in its last bits.
+    # Apart from the clip, no update writes into one of its own inputs: on a
+    # one-element array numpy takes a slow overlap path for that, which
+    # costs about 1 us per operation.
     for t in range(1, iterations + 1):
         ghat = sample(u, rng)
-        u = u - (ghat + beta * (u - target)) * (1.0 / ((1.0 + 0.5 * t) * beta))
-        nrm_sq = float(u @ u)
+        subtract(u, target, out=step)
+        multiply(step, beta, out=scaled)
+        add(scaled, ghat, out=step)
+        multiply(step, 1.0 / ((1.0 + 0.5 * t) * beta), out=scaled)
+        u, spare = subtract(u, scaled, out=spare), u
+        nrm_sq = u.dot(u)
         if nrm_sq > radius_sq:
             u *= radius / math.sqrt(nrm_sq)
         theta = 2.0 * (t + 1) / (t * (t + 3))
-        avg = (1.0 - theta) * avg + theta * u
+        multiply(avg, 1.0 - theta, out=step)
+        add(step, multiply(u, theta, out=scaled), out=avg)
     return u, avg
 
 
@@ -376,7 +394,9 @@ def fw_quadratic_projection(target: np.ndarray, u0: np.ndarray,
             raise ValueError("budget must be a positive integer")
         for t in range(1, budget + 1):
             s = minimize(u - target)
-            u = ((t - 1) * u + 2.0 * s) / (t + 1)
+            u *= t - 1
+            u += 2.0 * s
+            u /= t + 1
         return u
     t = 0
     while True:
@@ -391,7 +411,9 @@ def fw_quadratic_projection(target: np.ndarray, u0: np.ndarray,
             raise NumericalError(
                 f"Frank-Wolfe projection did not reach tolerance {wolfe_tol:g} "
                 f"within {max_iter} steps")
-        u = ((t - 1) * u + 2.0 * s) / (t + 1)
+        u *= t - 1
+        u += 2.0 * s
+        u /= t + 1
 
 
 # ---------------------------------------------------------------------------

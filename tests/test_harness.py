@@ -356,10 +356,17 @@ class TestSlopeFits:
         with pytest.raises(ConfigError):
             fit_slopes({}, "wall")
 
-    def test_round_trip_through_aggregate_csv(self, tmp_path):
+    def test_round_trip_through_aggregate_csv(self, tmp_path, monkeypatch):
         manifest = run_experiment(small_config(tmp_path, epsilons=[0.4, 0.2, 0.1]))
-        report = fit_slopes_from_csv(manifest["files"][-1], "po")
-        assert "mopes" in report.solvers
+        parses = []
+        parse = harness._parse_aggregate
+        monkeypatch.setattr(harness, "_parse_aggregate",
+                            lambda path: parses.append(path) or parse(path))
+        reports = fit_slopes_from_csv(manifest["files"][-1], ["po", "fo", "lmo"])
+        assert parses == [manifest["files"][-1]]
+        assert [report.metric for report in reports] == ["po", "fo", "lmo"]
+        assert "mopes" in reports[0].solvers and not reports[0].solvers["mopes"].unused
+        assert reports[2].solvers["mopes"].unused
 
     def test_loglog_residual(self):
         slope, residual = fit_loglog([0.5, 0.25, 0.125], [10.0, 21.0, 39.0])
@@ -466,6 +473,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and named in err
         assert not (tmp_path / "cli_out").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (CSV_HEADER + "\nmopes|eps=0.1,1,2\n", "line 2: expected 10 fields, got 3"),
+        (CSV_HEADER + "\nmopes|eps=0.1,1,0,ten,1,0,0.5,0.1,0.0,1\n",
+         "line 2: could not convert string to float: 'ten'"),
+        (CSV_HEADER + "\nmopes|eps=0.1,1,0,0,1,0,0.5,0.1,0.0,1\nmopes,2,0,0,2,0,0.4,0.0,0.0,1\n",
+         "line 3: row tag 'mopes' lacks an accuracy marker"),
+        ("algorithm,k\n", "line 1: unexpected CSV header"),
+    ], ids=["short_row", "non_numeric_count", "no_marker", "header"])
+    def test_malformed_aggregate_is_a_format_error(self, tmp_path, capsys, content, message):
+        agg = tmp_path / "aggregate.csv"
+        agg.write_text(content)
+        assert cli.main(["slopes", str(agg), "--metric", "po"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: format:")
+        assert f"{agg}: {message}" in err
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "absent.json")]) == 2

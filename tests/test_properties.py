@@ -4,7 +4,8 @@ Inputs mix exact zeros and repeated magnitudes with general floats, at
 dimension 1 (or 1x1) upward, and radii span 1e-6 to 1e6.  Every output must
 be feasible to 1e-9 relative, and each LMO must reach the closed-form
 minimum of the linear functional: ``-r * max|g_i|`` on the l1 ball and
-``-r * sigma_max(g)`` on the nuclear ball.
+``-r * sigma_max(g)`` on the nuclear ball.  Ties in the l1 LMO and in the
+max-affine subgradient resolve to the lowest index.
 
 A projection subtracts a threshold from entries of the input's size, so its
 output carries a rounding error of a few ulps of the input norm; with an
@@ -18,7 +19,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nsopt import lmo_l1_ball, lmo_nuclear_ball, project_l1_ball, project_nuclear_ball
+from nsopt import (
+    PiecewiseLinearInstance,
+    lmo_l1_ball,
+    lmo_nuclear_ball,
+    project_l1_ball,
+    project_nuclear_ball,
+)
 from nsopt.errors import NumericalError
 from conftest import exact_l1_projection
 
@@ -102,3 +109,32 @@ def test_lmo_nuclear_feasible_and_minimal(g, radius):
 def test_project_nuclear_feasible(x, radius):
     p = project_nuclear_ball(x, radius)
     assert_projection_feasible(nuclear_norm(p), radius, nuclear_norm(x))
+
+
+@PROPERTY
+@given(vectors, radii)
+def test_lmo_l1_ties_take_the_lowest_index(g, radius):
+    magnitudes = np.abs(g)
+    first = int(np.flatnonzero(magnitudes == magnitudes.max())[0])
+    assert np.flatnonzero(lmo_l1_ball(g, radius)).tolist() == [first]
+
+
+small_integers = st.sampled_from([0.0, 1.0, -1.0, 2.0])
+
+
+@PROPERTY
+@given(st.data())
+def test_max_affine_ties_take_the_lowest_index(data):
+    # Small integers make every score exact, so ties are exact ties.  The
+    # last coordinate numbers the pieces and is zero in x, which keeps the
+    # scores and tells the returned slope row apart from its tied rivals.
+    pieces, d = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+    slopes = data.draw(arrays(np.float64, (pieces, d), elements=small_integers))
+    slopes = np.hstack([slopes, np.arange(pieces, dtype=float)[:, None]])
+    intercepts = data.draw(arrays(np.float64, pieces, elements=small_integers))
+    x = np.append(data.draw(arrays(np.float64, d, elements=small_integers)), 0.0)
+    scores = [sum(w * v for w, v in zip(row, x)) + b for row, b in zip(slopes.tolist(), intercepts)]
+    first = scores.index(max(scores))
+    value, grad = PiecewiseLinearInstance(slopes, intercepts).value_and_subgradient(x)
+    assert value == scores[first]
+    assert np.array_equal(grad, slopes[first])

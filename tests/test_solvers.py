@@ -24,6 +24,7 @@ from nsopt import (
     minibatch_sfo,
     moles,
     mopes,
+    nuclear_ball,
     pgd,
     prox_slide,
     synth_hinge_data,
@@ -277,6 +278,106 @@ class TestFwQuadraticProjection:
             fw_quadratic_projection(np.zeros(2), np.zeros(2), lmo)
         with pytest.raises(ValueError):
             fw_quadratic_projection(np.zeros(2), np.zeros(2), lmo, budget=0)
+
+
+def allocating_prox_slide(sfo, g, u0, beta, iterations, radius, rng):
+    """``prox_slide`` with one new array per operation, the form its in-place
+    update must equal bit for bit; also returns how many steps clipped."""
+    u = np.array(u0, dtype=float, copy=True)
+    avg = u.copy()
+    target = u0 - g / beta
+    radius_sq = radius * radius
+    clips = 0
+    for t in range(1, iterations + 1):
+        ghat = sfo.sample(u, rng)
+        u = u - (ghat + beta * (u - target)) * (1.0 / ((1.0 + 0.5 * t) * beta))
+        nrm_sq = float(u @ u)
+        if nrm_sq > radius_sq:
+            u *= radius / math.sqrt(nrm_sq)
+            clips += 1
+        theta = 2.0 * (t + 1) / (t * (t + 3))
+        avg = (1.0 - theta) * avg + theta * u
+    return u, avg, clips
+
+
+def allocating_fw_projection(target, u0, lmo, budget=None, beta=1.0, wolfe_tol=None):
+    """``fw_quadratic_projection`` with the allocating open-loop update."""
+    u = np.array(u0, dtype=float, copy=True)
+    if budget is not None:
+        for t in range(1, budget + 1):
+            s = lmo.minimize(u - target)
+            u = ((t - 1) * u + 2.0 * s) / (t + 1)
+        return u
+    t = 0
+    while True:
+        s = lmo.minimize(u - target)
+        if beta * float((u - target) @ (u - s)) <= wolfe_tol:
+            return u
+        t += 1
+        u = ((t - 1) * u + 2.0 * s) / (t + 1)
+
+
+def assert_same_bits(got, expected):
+    assert np.array_equal(got, expected)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+class TestInPlaceInnerLoops:
+    """The in-place updates of ``prox_slide`` and ``fw_quadratic_projection``
+    give the bits of their allocating forms and leave their inputs alone."""
+
+    @pytest.mark.parametrize("oracle", ["fo", "sfo"])
+    @pytest.mark.parametrize("d", [1, 20, 100])
+    @pytest.mark.parametrize("iterations", [1, 2, 50])
+    @pytest.mark.parametrize("clip", [True, False])
+    def test_prox_slide_matches_allocating_form(self, oracle, d, iterations, clip):
+        gen = philox((d, iterations))
+        if oracle == "fo":
+            inst = synth_piecewise_linear(d, 12, d)
+            data = inst.slopes
+            sampler = FoSampler(FirstOrderOracle.from_instance(inst))
+        else:
+            inst = HingeSvmInstance(synth_hinge_data(30, d, d))
+            data = inst.rows
+            sampler = minibatch_sfo(inst, 4)
+        data_before = data.copy()
+        u0 = gen.uniform(-1.0, 1.0, d) / d
+        # a gradient far larger than beta * radius drives the first steps
+        # onto the clip; a radius of 1e6 is never reached
+        g = gen.standard_normal(d) * (50.0 if clip else 0.1)
+        u0_before, g_before = u0.copy(), g.copy()
+        radius = 0.5 if clip else 1e6
+        expected_last, expected_avg, clips = allocating_prox_slide(
+            sampler, g, u0, 2.0, iterations, radius, philox(7))
+        assert (clips > 0) == clip
+        last, avg = prox_slide(sampler, g, u0, 2.0, iterations, radius, philox(7))
+        assert_same_bits(last, expected_last)
+        assert_same_bits(avg, expected_avg)
+        assert_same_bits(u0, u0_before)
+        assert_same_bits(g, g_before)
+        assert_same_bits(data, data_before)
+
+    @pytest.mark.parametrize("mode", ["budget", "wolfe"])
+    @pytest.mark.parametrize("kind", ["l1", "nuclear"])
+    def test_fw_projection_matches_allocating_form(self, mode, kind):
+        gen = philox(11)
+        sd = l1_ball(20, 1.0) if kind == "l1" else nuclear_ball(4, 4, 1.0)
+        kwargs = {"budget": 40} if mode == "budget" else {"beta": 2.0, "wolfe_tol": 1e-3}
+        for _ in range(5):
+            target = gen.standard_normal(sd.dim) * 1.5
+            u0 = sd.boundary_point(gen)
+            u0_before, target_before = u0.copy(), target.copy()
+            counts = []
+            outputs = []
+            for project in (allocating_fw_projection, fw_quadratic_projection):
+                counters = OracleCounters()
+                lmo = wrap_counting(LinearMinimizationOracle.from_set(sd), counters)
+                outputs.append(project(target, u0, lmo, **kwargs))
+                counts.append(counters.lmo_calls)
+            assert counts[0] == counts[1] > 1
+            assert_same_bits(outputs[1], outputs[0])
+            assert_same_bits(u0, u0_before)
+            assert_same_bits(target, target_before)
 
 
 class TestMopes:
