@@ -466,7 +466,7 @@ def _parse_aggregate(path: str) -> dict[str, dict[float, list]]:
     return grouped
 
 
-def fit_slopes_from_csv(path: str, metrics) -> list[SlopeReport]:
+def fit_slopes_from_csv(path: str, metrics: list[str]) -> list[SlopeReport]:
     """One slope report per name in ``metrics``, all from a single parse of
     an aggregate CSV written by ``run_experiment``."""
     grouped = _parse_aggregate(path)

@@ -323,8 +323,8 @@ def assert_same_bits(got, expected):
 
 
 class TestInPlaceInnerLoops:
-    """The in-place updates of ``prox_slide`` and ``fw_quadratic_projection``
-    give the bits of their allocating forms and leave their inputs alone."""
+    """``prox_slide`` and ``fw_quadratic_projection`` reuse their buffers and
+    still give the bits of their allocating forms, leaving inputs alone."""
 
     @pytest.mark.parametrize("oracle", ["fo", "sfo"])
     @pytest.mark.parametrize("d", [1, 20, 100])
