@@ -47,7 +47,6 @@ from .problems import (
     MatrixSvmInstance,
     PiecewiseLinearInstance,
     load_dense_csv,
-    save_dense_csv,
     synth_hinge_data,
     synth_piecewise_linear,
 )

@@ -144,11 +144,6 @@ class SetDescriptor:
         # Euclidean diameter is 2r for all three kinds.
         return 2.0 * self.radius
 
-    @property
-    def enclosing_radius(self) -> float:
-        # ||.||_2 <= ||.||_1 and ||.||_F <= ||.||_nuc, so B(0, r) encloses.
-        return self.radius
-
     def norm(self, x: np.ndarray) -> float:
         """The norm defining the ball, evaluated on a flat vector."""
         x = np.asarray(x, dtype=float)

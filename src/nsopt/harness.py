@@ -23,7 +23,13 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, NumericalError
 from .geometry import SetDescriptor
-from .oracles import FirstOrderOracle, LinearMinimizationOracle, ProjectionOracle, minibatch_sfo
+from .oracles import (
+    FirstOrderOracle,
+    LinearMinimizationOracle,
+    ProjectionOracle,
+    _philox,
+    minibatch_sfo,
+)
 from .problems import (
     HingeSvmInstance,
     MatrixSvmInstance,
@@ -244,10 +250,6 @@ def _solver_label(spec: dict) -> str:
 
 def _seed_int(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, dtype=np.uint64)[0])
-
-
-def _philox(key: list[int]) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
 def _run_single(spec: dict, problem, descriptor: SetDescriptor, lipschitz: float,

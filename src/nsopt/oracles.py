@@ -3,9 +3,10 @@
 Four oracle kinds drive every solver in this package: a first-order oracle
 (FO) returning function value and one subgradient, its stochastic variant
 (SFO) returning an unbiased subgradient estimate, a projection oracle (PO)
-for the constraint set, and a linear minimization oracle (LMO).
-``wrap_counting`` is the one place where calls are tallied; it never alters
-results, so oracle-call complexity can be measured exactly.
+for the constraint set, and a linear minimization oracle (LMO).  An oracle
+is its function, under the one name it is called by, plus its bound or its
+set.  ``wrap_counting`` is the one place where calls are tallied; it never
+alters results, so oracle-call complexity can be measured exactly.
 
 Oracle objects are immutable after construction and safe to share across
 concurrent reads; counters and random streams are per-run mutable state
@@ -17,6 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _philox(key) -> np.random.Generator:
+    """The random stream of a seed or a key list, as every stream here is
+    built."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
 @dataclass
@@ -38,15 +45,14 @@ class FirstOrderOracle:
     ``evaluate(x)`` returns ``(f(x), g)`` with ``g`` a subgradient of ``f``
     at ``x``.  Queries are valid on the enclosing ball of the problem, not
     just on the constraint set.  ``lipschitz_bound`` is a certified upper
-    bound on the norm of every returned subgradient.
+    bound on the norm of every returned subgradient.  ``evaluate`` is the
+    given function itself, an instance attribute that would shadow a
+    subclass method of that name.
     """
 
     def __init__(self, evaluate_fn, lipschitz_bound: float | None = None):
-        self._evaluate = evaluate_fn
+        self.evaluate = evaluate_fn
         self.lipschitz_bound = lipschitz_bound
-
-    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        return self._evaluate(x)
 
     @classmethod
     def from_instance(cls, instance) -> "FirstOrderOracle":
@@ -61,31 +67,22 @@ class StochasticFirstOrderOracle:
     ``sample(x, rng)`` returns an estimate whose conditional mean lies in
     the subdifferential at ``x`` and whose conditional variance is bounded
     by ``variance_bound``.  Every draw consumes from the generator that is
-    passed in (or from the default stream given at construction), so runs
-    are reproducible per seed.
+    passed in, so runs are reproducible per seed.  ``sample`` is the given
+    function itself, an instance attribute.
     """
 
-    def __init__(self, sample_fn, variance_bound: float = 0.0, rng=None):
-        self._sample = sample_fn
+    def __init__(self, sample_fn, variance_bound: float = 0.0):
+        self.sample = sample_fn
         self.variance_bound = float(variance_bound)
-        self._rng = rng
-
-    def sample(self, x: np.ndarray, rng=None) -> np.ndarray:
-        gen = rng if rng is not None else self._rng
-        if gen is None:
-            raise ValueError("no random generator supplied for stochastic oracle")
-        return self._sample(x, gen)
 
 
 class ProjectionOracle:
-    """Euclidean projection onto the constraint set."""
+    """Euclidean projection onto the set of ``set_descriptor``, which
+    decides membership; ``project`` is the given function itself."""
 
-    def __init__(self, project_fn, set_descriptor=None):
-        self._project = project_fn
+    def __init__(self, project_fn, set_descriptor):
+        self.project = project_fn
         self.set_descriptor = set_descriptor
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return self._project(x)
 
     @classmethod
     def from_set(cls, descriptor) -> "ProjectionOracle":
@@ -93,14 +90,13 @@ class ProjectionOracle:
 
 
 class LinearMinimizationOracle:
-    """Returns an extreme point minimizing a linear functional over the set."""
+    """An extreme point minimizing a linear functional over the set of
+    ``set_descriptor``, which decides membership; ``minimize`` is the given
+    function itself."""
 
-    def __init__(self, minimize_fn, set_descriptor=None):
-        self._minimize = minimize_fn
+    def __init__(self, minimize_fn, set_descriptor):
+        self.minimize = minimize_fn
         self.set_descriptor = set_descriptor
-
-    def minimize(self, direction: np.ndarray) -> np.ndarray:
-        return self._minimize(direction)
 
     @classmethod
     def from_set(cls, descriptor, rng=None) -> "LinearMinimizationOracle":
@@ -113,15 +109,14 @@ def wrap_counting(oracle, counters: OracleCounters):
     """Return a plain oracle of the same kind whose every call increments
     exactly one tally of ``counters``.
 
-    The copy is built around a closure over the function the original
-    oracle was built around (not over its methods), so a counted query
-    costs one Python call more than an uncounted one.  Returned values are
-    passed through untouched, so wrapped and unwrapped oracles are
-    numerically indistinguishable; bounds, descriptors and the default
-    random stream carry over.
+    The copy's function is a closure over the original oracle's function,
+    so a counted query costs one Python call more than an uncounted one.
+    Returned values are passed through untouched, so wrapped and unwrapped
+    oracles are numerically indistinguishable; bounds and set descriptors
+    carry over.
     """
     if isinstance(oracle, FirstOrderOracle):
-        evaluate = oracle._evaluate
+        evaluate = oracle.evaluate
 
         def counted_evaluate(x):
             counters.fo_calls += 1
@@ -129,15 +124,15 @@ def wrap_counting(oracle, counters: OracleCounters):
 
         return FirstOrderOracle(counted_evaluate, oracle.lipschitz_bound)
     if isinstance(oracle, StochasticFirstOrderOracle):
-        sample = oracle._sample
+        sample = oracle.sample
 
         def counted_sample(x, rng):
             counters.sfo_calls += 1
             return sample(x, rng)
 
-        return StochasticFirstOrderOracle(counted_sample, oracle.variance_bound, oracle._rng)
+        return StochasticFirstOrderOracle(counted_sample, oracle.variance_bound)
     if isinstance(oracle, ProjectionOracle):
-        project = oracle._project
+        project = oracle.project
 
         def counted_project(x):
             counters.po_calls += 1
@@ -145,7 +140,7 @@ def wrap_counting(oracle, counters: OracleCounters):
 
         return ProjectionOracle(counted_project, oracle.set_descriptor)
     if isinstance(oracle, LinearMinimizationOracle):
-        minimize = oracle._minimize
+        minimize = oracle.minimize
 
         def counted_minimize(direction):
             counters.lmo_calls += 1
@@ -159,12 +154,14 @@ def minibatch_sfo(problem, batch_size: int, rng=None) -> StochasticFirstOrderOra
     """Minibatch stochastic subgradient oracle for a finite-sum objective.
 
     Each draw picks ``batch_size`` component indices uniformly with
-    replacement and returns the averaged component subgradient, which is
-    unbiased for the full-sum subgradient under the problem's fixed
-    tie-breaking rule.  A batch of exactly ``n_terms`` degenerates to the
-    deterministic full sum (zero variance).  The attached variance bound is
+    replacement from the generator passed to ``sample`` and returns the
+    averaged component subgradient, which is unbiased for the full-sum
+    subgradient under the problem's fixed tie-breaking rule.  A batch of
+    exactly ``n_terms`` degenerates to the deterministic full sum (zero
+    variance).  The attached variance bound is
     ``max_i ||g_i||^2 / batch_size``, certified since every component
     subgradient norm is bounded by the problem's per-term norm bound.
+    ``rng`` is accepted for compatibility only and is not used.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be a positive integer")
@@ -176,14 +173,14 @@ def minibatch_sfo(problem, batch_size: int, rng=None) -> StochasticFirstOrderOra
         def sample(x, gen):
             return problem.batch_subgradient(x, full)
 
-        return StochasticFirstOrderOracle(sample, variance_bound=0.0, rng=rng)
+        return StochasticFirstOrderOracle(sample, variance_bound=0.0)
 
     def sample(x, gen):
         idx = gen.integers(0, n, size=batch_size)
         return problem.batch_subgradient(x, idx)
 
     bound = float(problem.term_norm_bound()) ** 2 / batch_size
-    return StochasticFirstOrderOracle(sample, variance_bound=bound, rng=rng)
+    return StochasticFirstOrderOracle(sample, variance_bound=bound)
 
 
 def estimate_variance(sfo: StochasticFirstOrderOracle, x: np.ndarray, trials: int, rng) -> float:

@@ -18,6 +18,7 @@ import csv
 import numpy as np
 
 from .errors import FormatError
+from .oracles import _philox
 
 
 class PiecewiseLinearInstance:
@@ -135,10 +136,9 @@ class HingeSvmInstance:
 class MatrixSvmInstance(HingeSvmInstance):
     """Hinge-loss matrix classifier ``f(X) = (1/n) sum_i max(0, 1 - b_i <X, A_i>)``.
 
-    Labels are folded into the stored matrices (``b_i * A_i``).  The solver
-    facing API, inherited from ``HingeSvmInstance`` over the flattened
-    samples, works on vectors of length ``m * p``; the matrix API below
-    keeps the natural shape.
+    Labels are folded into the stored matrices (``b_i * A_i``).  The API,
+    inherited from ``HingeSvmInstance`` over the flattened samples, works
+    on vectors of length ``m * p``; ``shape`` is the matrix shape.
     """
 
     def __init__(self, mats: np.ndarray):
@@ -150,13 +150,6 @@ class MatrixSvmInstance(HingeSvmInstance):
     @property
     def shape(self) -> tuple[int, int]:
         return self.mats.shape[1], self.mats.shape[2]
-
-    def matrix_value_and_subgradient(self, x_mat: np.ndarray) -> tuple[float, np.ndarray]:
-        x_mat = np.asarray(x_mat, dtype=float)
-        if x_mat.shape != self.shape:
-            raise ValueError(f"expected matrix of shape {self.shape}, got {x_mat.shape}")
-        value, grad = self.value_and_subgradient(x_mat.ravel())
-        return value, grad.reshape(self.shape)
 
 
 def synth_piecewise_linear(dim: int, pieces: int, seed: int,
@@ -171,7 +164,7 @@ def synth_piecewise_linear(dim: int, pieces: int, seed: int,
     """
     if pieces < 2:
         raise ValueError("need at least 2 pieces")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _philox(seed)
     anchor = np.zeros(dim) if anchor is None else np.asarray(anchor, dtype=float)
     while True:
         slopes = rng.standard_normal((pieces, dim))
@@ -193,7 +186,7 @@ def synth_hinge_data(n: int, dim: int, seed: int, add_bias: bool = False) -> np.
     Features are scaled so row norms concentrate near one, keeping the
     certified Lipschitz bound of the averaged hinge loss near one.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _philox(seed)
     features = rng.standard_normal((n, dim)) / np.sqrt(dim)
     w = rng.standard_normal(dim)
     w /= np.linalg.norm(w)
@@ -203,15 +196,12 @@ def synth_hinge_data(n: int, dim: int, seed: int, add_bias: bool = False) -> np.
     return features * labels[:, None]
 
 
-def load_dense_csv(path: str, shape: tuple[int, int] | None = None,
-                   add_bias: bool = False) -> np.ndarray:
+def load_dense_csv(path: str, add_bias: bool = False) -> np.ndarray:
     """Load label-folded SVM rows from a dense CSV file.
 
     Each row holds feature reals followed by a final label column in
     ``{0, 1}``; labels map to ``{-1, +1}`` and multiply into the features.
-    ``shape`` optionally pins the expected ``(n_rows, n_features)`` of the
-    result.  Parse failures raise ``FormatError`` with the offending row
-    and column.
+    Parse failures raise ``FormatError`` with the offending row and column.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -240,18 +230,4 @@ def load_dense_csv(path: str, shape: tuple[int, int] | None = None,
         raise FormatError(f"{path}: labels must be 0 or 1 in the last column")
     if add_bias:
         features = np.hstack([features, np.ones((features.shape[0], 1))])
-    folded = features * (2.0 * labels - 1.0)[:, None]
-    if shape is not None and folded.shape != tuple(shape):
-        raise FormatError(f"{path}: expected shape {tuple(shape)}, got {folded.shape}")
-    return folded
-
-
-def save_dense_csv(path: str, features: np.ndarray, labels: np.ndarray) -> None:
-    """Write features plus a final {0,1} label column, round-trippable by
-    ``load_dense_csv`` to full precision."""
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row, label in zip(features, labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    return features * (2.0 * labels - 1.0)[:, None]

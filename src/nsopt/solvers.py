@@ -34,12 +34,14 @@ from .oracles import (
     OracleCounters,
     ProjectionOracle,
     StochasticFirstOrderOracle,
+    _philox,
     wrap_counting,
 )
 
 CSV_HEADER = "algorithm,k,fo_calls,sfo_calls,po_calls,lmo_calls,f_value,gap,wall_ms,seed"
 PROJECTION_MODES = ("budget", "wolfe")  # a fixed Frank-Wolfe budget or a Wolfe-gap stop
 STEPSIZE_RULES = ("fixed", "diminishing")
+FW_MAX_STEPS = 50_000_000  # a Wolfe-mode projection that needs more steps fails
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +258,10 @@ class _SubgradientSource:
     def __init__(self, oracle, counters: OracleCounters):
         counted = wrap_counting(oracle, counters)
         if isinstance(counted, StochasticFirstOrderOracle):
-            sample = counted._sample
-            self.sample = sample
+            self.sample = sample = counted.sample
             self.sample_with_value = lambda x, rng: (None, sample(x, rng))
         elif isinstance(counted, FirstOrderOracle):
-            evaluate = counted._evaluate
+            evaluate = counted.evaluate
             self.sample = lambda x, rng: evaluate(x)[1]
             self.sample_with_value = lambda x, rng: evaluate(x)
         else:
@@ -268,22 +269,11 @@ class _SubgradientSource:
 
 
 def _check_start_point(x0: np.ndarray, set_oracle) -> np.ndarray:
-    """Return a float copy of ``x0`` after checking that it lies in the set
-    of a projection or linear-minimization oracle, without consuming
-    counted oracle calls.
-
-    The set descriptor decides membership; without one, a projection
-    oracle must leave the point in place, and a bare LMO is not checked.
-    """
+    """Return a float copy of ``x0`` after checking with the set descriptor
+    of a projection or linear-minimization oracle that it lies in the set;
+    no oracle call is made."""
     x = np.array(x0, dtype=float, copy=True)
-    descriptor = set_oracle.set_descriptor
-    if descriptor is not None:
-        feasible = descriptor.contains(x, tol=1e-8)
-    elif isinstance(set_oracle, ProjectionOracle):
-        feasible = np.linalg.norm(set_oracle.project(x) - x) <= 1e-8 * (1.0 + np.linalg.norm(x))
-    else:
-        feasible = True
-    if not feasible:
+    if not set_oracle.set_descriptor.contains(x, tol=1e-8):
         raise ValueError("start point is not in the constraint set")
     return x
 
@@ -305,10 +295,6 @@ def _trace_step(trace: RunTrace, k: int, counters: OracleCounters, f_value: floa
                          (time.perf_counter() - t_start) * 1e3, **extra)
     trace.records.append(record)
     return record
-
-
-def _rng_for(seed: int):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +359,16 @@ def prox_slide(sfo, g: np.ndarray, u0: np.ndarray, beta: float, iterations: int,
 def fw_quadratic_projection(target: np.ndarray, u0: np.ndarray,
                             lmo: LinearMinimizationOracle,
                             budget: int | None = None, beta: float = 1.0,
-                            wolfe_tol: float | None = None,
-                            max_iter: int = 50_000_000) -> np.ndarray:
+                            wolfe_tol: float | None = None) -> np.ndarray:
     """Frank-Wolfe for the projection problem ``min_{u in X} ||u - target||^2``.
 
     Runs the open-loop update ``u_t = ((t-1) u_{t-1} + 2 s_t) / (t + 1)``
     with ``s_t`` the LMO point at ``u_{t-1} - target``.  Either a fixed
     number of steps (exactly ``budget`` LMO calls) or until the Wolfe dual
     gap ``beta <u - target, u - s>`` drops to ``wolfe_tol`` (one LMO per
-    gap check, checked before the first step).  The output is always a
-    convex combination of LMO vertices plus the start point, hence
-    feasible.
+    gap check, checked before the first step; more than ``FW_MAX_STEPS``
+    steps raise ``NumericalError``).  The output is always a convex
+    combination of LMO vertices plus the start point, hence feasible.
     """
     if (budget is None) == (wolfe_tol is None):
         raise ValueError("specify exactly one of budget or wolfe_tol")
@@ -407,10 +392,10 @@ def fw_quadratic_projection(target: np.ndarray, u0: np.ndarray,
         if math.isnan(gap):
             raise NumericalError("Frank-Wolfe projection: the Wolfe gap is NaN")
         t += 1
-        if t > max_iter:
+        if t > FW_MAX_STEPS:
             raise NumericalError(
                 f"Frank-Wolfe projection did not reach tolerance {wolfe_tol:g} "
-                f"within {max_iter} steps")
+                f"within {FW_MAX_STEPS} steps")
         u *= t - 1
         u += 2.0 * s
         u /= t + 1
@@ -433,7 +418,7 @@ def _moreau_splitting(problem, oracle, counters: OracleCounters, step,
     which never touches the set.
     """
     source = _SubgradientSource(oracle, counters)
-    rng = _rng_for(config.seed)
+    rng = _philox(config.seed)
     lam = config.lam
     total = config.outer_steps
 
@@ -531,8 +516,8 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
     x = _check_start_point(x0, po)
     counters = OracleCounters()
     sample_with_value = _SubgradientSource(oracle, counters).sample_with_value
-    project = wrap_counting(po, counters)._project
-    rng = _rng_for(seed)
+    project = wrap_counting(po, counters).project
+    rng = _philox(seed)
 
     weighted = np.zeros_like(x)
     weight_sum = 0.0
@@ -593,7 +578,7 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
     counters = OracleCounters()
     source = _SubgradientSource(oracle, counters)
     counted_lmo = wrap_counting(lmo, counters)
-    rng = _rng_for(seed)
+    rng = _philox(seed)
 
     noise = lipschitz ** 2 + sigma ** 2
     alpha = set_diameter / (2.0 * math.sqrt(noise) * math.sqrt(steps))

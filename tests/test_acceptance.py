@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each at its stated tolerance.
 
 Every test prints a single PASS/FAIL line so the suite doubles as a
-checklist.  Heavy shared artifacts (the d = 20 benchmark problem and its
-million-step reference solve) live in session fixtures.
+checklist.  Heavy shared artifacts (the d = 20 benchmark problem, its MOLES
+sweep and the SVM's million-step reference solve) live in session fixtures.
 """
 
 import json
@@ -69,19 +69,20 @@ def total_inner_steps(cfg):
 @pytest.fixture(scope="session")
 def bench():
     """d = 20 piecewise-linear benchmark on the unit l1 ball with an
-    off-center minimizer, a far vertex start, and a long reference solve."""
+    off-center minimizer inside the ball and a far vertex start; gaps are
+    measured against the certified minimum at that minimizer."""
     d = 20
     anchor = np.zeros(d)
     anchor[0] = -0.45
     anchor[1:] = philox(5).uniform(-0.05, 0.05, d - 1)
     problem = synth_piecewise_linear(d, 40, 22, anchor=anchor)
     ball = l1_ball(d, 1.0)
-    f_ref, _ = reference_optimum(problem, ball, 10 ** 6)
+    assert ball.contains(anchor)  # so min_value is the minimum over the ball
     x0 = np.zeros(d)
     x0[0] = 1.0
     dist = float(np.linalg.norm(x0 - anchor)) * 1.02
     return {
-        "problem": problem, "ball": ball, "f_ref": f_ref, "x0": x0,
+        "problem": problem, "ball": ball, "f_ref": problem.min_value, "x0": x0,
         "dist": dist, "lipschitz": problem.lipschitz_bound,
         "fo": FirstOrderOracle.from_instance(problem),
         "po": ProjectionOracle.from_set(ball),

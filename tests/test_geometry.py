@@ -240,10 +240,9 @@ class TestSetInvariants:
 
     def test_diameter_and_enclosure(self, descriptor, rng):
         assert descriptor.diameter == 2.0 * descriptor.radius
-        assert descriptor.enclosing_radius == descriptor.radius
         for _ in range(100):
             y = descriptor.boundary_point(rng)
-            assert np.linalg.norm(y) <= descriptor.enclosing_radius + 1e-9
+            assert np.linalg.norm(y) <= descriptor.radius + 1e-9
             assert descriptor.norm(y) == pytest.approx(descriptor.radius, rel=1e-9)
 
 

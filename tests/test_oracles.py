@@ -11,7 +11,6 @@ from nsopt import (
     LinearMinimizationOracle,
     OracleCounters,
     ProjectionOracle,
-    StochasticFirstOrderOracle,
     estimate_variance,
     l1_ball,
     minibatch_sfo,
@@ -175,5 +174,3 @@ def test_invalid_arguments():
     sfo = minibatch_sfo(svm, 2)
     with pytest.raises(ValueError):
         estimate_variance(sfo, np.zeros(3), 1, philox(0))
-    with pytest.raises(ValueError):
-        StochasticFirstOrderOracle(lambda x, r: x).sample(np.zeros(3))

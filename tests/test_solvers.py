@@ -271,6 +271,14 @@ class TestFwQuadraticProjection:
             fw_quadratic_projection(np.full(2, math.nan), np.zeros(2), lmo, wolfe_tol=1e-3)
         assert counters.lmo_calls == 1
 
+    def test_wolfe_mode_fails_past_the_step_limit(self, monkeypatch):
+        monkeypatch.setattr(nsopt.solvers, "FW_MAX_STEPS", 3)
+        counters = OracleCounters()
+        lmo = wrap_counting(LinearMinimizationOracle.from_set(l1_ball(2, 1.0)), counters)
+        with pytest.raises(NumericalError, match="within 3 steps"):
+            fw_quadratic_projection(np.array([2.0, 1.5]), np.zeros(2), lmo, wolfe_tol=1e-12)
+        assert counters.lmo_calls == 4
+
     def test_mode_validation(self):
         sd = l1_ball(2, 1.0)
         lmo = LinearMinimizationOracle.from_set(sd)
@@ -396,12 +404,22 @@ class TestMopes:
         for x in recorder.points:
             assert sd.membership_residual(x) <= 1e-8
 
-    def test_rejects_infeasible_start(self):
+    @pytest.mark.parametrize("solver", ["mopes", "moles", "pgd", "fw_pgd"])
+    def test_rejects_infeasible_start(self, solver):
         inst, fo, sd = abs_problem(0.6)
         po = ProjectionOracle.from_set(sd)
-        cfg = SolverConfig.from_target(0.2, 1.0, sd.diameter, method="mopes")
-        with pytest.raises(ValueError):
-            mopes(inst, fo, po, cfg, np.array([2.0]))
+        lmo = LinearMinimizationOracle.from_set(sd)
+        x0 = np.array([2.0])
+        run = {
+            "mopes": lambda: mopes(inst, fo, po, SolverConfig.from_target(
+                0.2, 1.0, sd.diameter, method="mopes"), x0),
+            "moles": lambda: moles(inst, fo, lmo, SolverConfig.from_target(
+                0.2, 1.0, sd.diameter, method="moles"), x0),
+            "pgd": lambda: pgd(inst, fo, po, x0, 10, 1.0, sd.diameter),
+            "fw_pgd": lambda: fw_pgd(inst, fo, lmo, x0, 10, 1.0, 0.0, sd.diameter),
+        }[solver]
+        with pytest.raises(ValueError, match="not in the constraint set"):
+            run()
 
 
 class TestNonFiniteValues:
