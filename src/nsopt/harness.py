@@ -72,6 +72,23 @@ def _boolean(value) -> bool:
     return value
 
 
+def _at_least(low: int):
+    """An ``_integer`` that is at least ``low``."""
+    def convert(value):
+        value = _integer(value)
+        if value < low:
+            raise ValueError(f"must be at least {low}, not {value}")
+        return value
+    return convert
+
+
+def _positive(value) -> float:
+    value = float(value)
+    if not value > 0:
+        raise ValueError(f"must be positive, not {value!r}")
+    return value
+
+
 def _choice(*allowed):
     def convert(value):
         if value not in allowed:
@@ -116,36 +133,36 @@ def _read(where: str, raw, table: dict, tag: str | None = None) -> dict:
 # level, as ``key: (conversion, default)``.  Any other key is rejected, so a
 # typo cannot fall back to a default.
 _PROBLEM_SHARED = {"kind": (str, _REQUIRED), "set": (_choice(*SetDescriptor._KINDS), "l1_ball"),
-                   "radius": (float, 1.0), "seed": (_integer, 0)}
+                   "radius": (_positive, 1.0), "seed": (_integer, 0)}
 PROBLEM_KEYS = {
     "piecewise_linear": _PROBLEM_SHARED | {
-        "d": (_integer, 10), "pieces": (_integer, 6),
+        "d": (_at_least(1), 10), "pieces": (_at_least(2), 6),
         "anchor": (lambda v: np.asarray(v, dtype=float), None)},
     "hinge_svm": _PROBLEM_SHARED | {
-        "n": (_integer, 100), "d": (_integer, 10), "add_bias": (_boolean, False),
+        "n": (_at_least(1), 100), "d": (_at_least(1), 10), "add_bias": (_boolean, False),
         "data_path": (str, None)},
     "matrix_svm": _PROBLEM_SHARED | {
-        "n": (_integer, 50), "rows": (_integer, 4), "cols": (_integer, 4)},
+        "n": (_at_least(1), 50), "rows": (_at_least(1), 4), "cols": (_at_least(1), 4)},
 }
-_SOLVER_SHARED = {"name": (str, _REQUIRED), "batch_size": (_integer, None)}
-_SPLITTING = _SOLVER_SHARED | {"c": (float, 1.0), "cprime": (float, 1.0),
-                               "dist_estimate": (float, None)}
-_BASELINE = _SOLVER_SHARED | {"trace_every": (_integer, 1)}
+_SOLVER_SHARED = {"name": (str, _REQUIRED), "batch_size": (_at_least(1), None)}
+_SPLITTING = _SOLVER_SHARED | {"c": (_positive, 1.0), "cprime": (_positive, 1.0),
+                               "dist_estimate": (_positive, None)}
+_BASELINE = _SOLVER_SHARED | {"trace_every": (_at_least(1), 1)}
 SOLVER_KEYS = {
     "mopes": _SPLITTING,
     "moles": _SPLITTING | {"projection_mode": (_choice(*PROJECTION_MODES), "budget")},
-    "pgd": _BASELINE | {"steps": (_integer, 10 ** 4),
+    "pgd": _BASELINE | {"steps": (_at_least(1), 10 ** 4),
                         "stepsize_rule": (_choice(*STEPSIZE_RULES), "fixed")},
-    "fw_pgd": _BASELINE | {"steps": (_integer, None),
+    "fw_pgd": _BASELINE | {"steps": (_at_least(1), None),
                            "mode": (_choice(*PROJECTION_MODES), "budget"),
                            "max_lmo": (float, None), "target_gap": (float, None)},
 }
 CONFIG_KEYS = {
     "seed": (_integer, 0),
     "output_dir": (str, "nsopt_out"),
-    "repetitions": (_integer, 1),
+    "repetitions": (_at_least(1), 1),
     "epsilons": (lambda v: [float(e) for e in v], _REQUIRED),
-    "reference_budget": (_integer, 10 ** 5),
+    "reference_budget": (_at_least(10 ** 4), 10 ** 5),
     "problem": (lambda v: _read("problem", v, PROBLEM_KEYS, "kind"), _REQUIRED),
     "solvers": (lambda v: [_read("solver", s, SOLVER_KEYS, "name") for s in v], _REQUIRED),
     "record_wall_time": (_boolean, False),
@@ -169,8 +186,6 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         cfg = cls(**_read("config", raw, CONFIG_KEYS))
-        if cfg.repetitions < 1:
-            raise ConfigError("repetitions must be at least 1")
         if not cfg.epsilons or any(e <= 0 for e in cfg.epsilons):
             raise ConfigError("epsilons must be a nonempty list of positive values")
         if len(set(cfg.epsilons)) != len(cfg.epsilons):
@@ -252,6 +267,24 @@ def _seed_int(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, dtype=np.uint64)[0])
 
 
+def _run_seed(global_seed: int, solver_index: int, eps_index: int, rep: int) -> int:
+    """The seed of one (solver, accuracy, repetition) run."""
+    return _seed_int(global_seed, solver_index, eps_index, rep)
+
+
+def _reads_neither_eps_nor_seed(spec: dict) -> bool:
+    """Whether ``_run_single`` gives the same records at every accuracy.
+
+    Eps reaches a run only through ``SolverConfig.from_target`` and the
+    ``steps`` that ``fw_pgd`` derives when none is given, and the run seed
+    only through the random stream of the minibatch SFO (a deterministic FO
+    never draws from it), so such a run differs across accuracies only in
+    the seed that its trace carries.
+    """
+    eps_free = spec["name"] == "pgd" or (spec["name"] == "fw_pgd" and spec["steps"] is not None)
+    return eps_free and spec["batch_size"] is None
+
+
 def _run_single(spec: dict, problem, descriptor: SetDescriptor, lipschitz: float,
                 eps: float, eps_index: int, solver_index: int, rep: int,
                 global_seed: int, f_ref: float):
@@ -259,17 +292,19 @@ def _run_single(spec: dict, problem, descriptor: SetDescriptor, lipschitz: float
 
     ``spec`` is a solver entry read by ``SOLVER_KEYS``; its keys other than
     ``name`` and ``batch_size`` are the solver's own keyword arguments.
+    ``_reads_neither_eps_nor_seed`` must follow every use of ``eps`` and of
+    the run seed here.
     """
     name = spec["name"]
     options = {key: value for key, value in spec.items() if key not in _SOLVER_SHARED}
-    run_seed = _seed_int(global_seed, solver_index, eps_index, rep)
+    run_seed = _run_seed(global_seed, solver_index, eps_index, rep)
     # Starting points are shared across solvers and accuracies for a given
     # repetition, mirroring mean-over-runs plots with common starts.
     x0 = descriptor.boundary_point(_philox([global_seed, 1000003, rep]))
     po = ProjectionOracle.from_set(descriptor)
     lmo = LinearMinimizationOracle.from_set(descriptor)
 
-    if spec["batch_size"]:
+    if spec["batch_size"] is not None:
         oracle = minibatch_sfo(problem, spec["batch_size"])
         sigma = math.sqrt(oracle.variance_bound)
     else:
@@ -320,6 +355,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
     with the reference value, written files, and per-run statuses.  A run
     failing with a numerical error is recorded and skipped; the remaining
     runs and the aggregate proceed untouched.
+
+    A run that reads neither eps nor its seed (``_reads_neither_eps_nor_seed``)
+    is computed once per repetition, at the first accuracy; every accuracy
+    then writes its records under that accuracy's run seed, which are the
+    bytes a run of its own would write.  Its failure fails it at every
+    accuracy, with the same message.
     """
     out_dir = os.environ.get(OUTPUT_DIR_ENV, config.output_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -330,21 +371,31 @@ def run_experiment(config: ExperimentConfig) -> dict:
     groups: dict[tuple[str, float], list[RunTrace]] = {}
     for si, spec in enumerate(config.solvers):
         label = _solver_label(spec)
+        shared = _reads_neither_eps_nor_seed(spec)
+        outcomes: dict[int, RunTrace | NumericalError] = {}  # per repetition, when shared
         for ei, eps in enumerate(config.epsilons):
             for rep in range(config.repetitions):
                 run_id = f"{label}_eps{eps:g}_rep{rep}"
-                try:
-                    result = _run_single(spec, problem, descriptor, lipschitz, eps,
-                                         ei, si, rep, config.seed, f_ref)
-                except NumericalError as exc:
-                    manifest["failed"].append({"run": run_id, "error": str(exc)})
+                outcome = outcomes.get(rep)
+                if outcome is None:
+                    try:
+                        outcome = _run_single(spec, problem, descriptor, lipschitz, eps,
+                                              ei, si, rep, config.seed, f_ref).trace
+                    except NumericalError as exc:
+                        outcome = exc
+                    if shared:
+                        outcomes[rep] = outcome
+                if isinstance(outcome, NumericalError):
+                    manifest["failed"].append({"run": run_id, "error": str(outcome)})
                     manifest["runs"].append({"run": run_id, "status": "failed"})
                     continue
+                trace = RunTrace(outcome.algorithm, _run_seed(config.seed, si, ei, rep),
+                                 outcome.records)
                 path = os.path.join(out_dir, run_id + ".csv")
-                result.trace.write_csv(path, wall_clock=config.record_wall_time)
+                trace.write_csv(path, wall_clock=config.record_wall_time)
                 manifest["files"].append(path)
                 manifest["runs"].append({"run": run_id, "status": "ok"})
-                groups.setdefault((label, eps), []).append(result.trace)
+                groups.setdefault((label, eps), []).append(trace)
     agg_path = os.path.join(out_dir, "aggregate.csv")
     write_csv_rows(agg_path, [row for (label, eps), traces in groups.items()
                               for row in _aggregate_rows(label, eps, traces, config.seed)])

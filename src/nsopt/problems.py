@@ -162,6 +162,8 @@ def synth_piecewise_linear(dim: int, pieces: int, seed: int,
     value at the anchor, so the anchor is a global minimizer and the
     recorded ``min_value`` is the evaluated objective there.
     """
+    if dim < 1:
+        raise ValueError("need a dimension of at least 1")
     if pieces < 2:
         raise ValueError("need at least 2 pieces")
     rng = _philox(seed)

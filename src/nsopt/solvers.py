@@ -369,19 +369,26 @@ def fw_quadratic_projection(target: np.ndarray, u0: np.ndarray,
     gap check, checked before the first step; more than ``FW_MAX_STEPS``
     steps raise ``NumericalError``).  The output is always a convex
     combination of LMO vertices plus the start point, hence feasible.
+
+    The iterate takes turns between two buffers, as in ``prox_slide``: each
+    of the three operations of the update writes into the buffer that is
+    not its input, which on a one-element array spares numpy's slow overlap
+    path, and rounds as ``((t - 1) u + 2 s) / (t + 1)`` does.
     """
     if (budget is None) == (wolfe_tol is None):
         raise ValueError("specify exactly one of budget or wolfe_tol")
     u = np.array(u0, dtype=float, copy=True)
+    spare = np.empty_like(u)
     minimize = lmo.minimize
+    multiply, add, divide = np.multiply, np.add, np.divide
     if budget is not None:
         if budget < 1:
             raise ValueError("budget must be a positive integer")
         for t in range(1, budget + 1):
             s = minimize(u - target)
-            u *= t - 1
-            u += 2.0 * s
-            u /= t + 1
+            multiply(u, t - 1, out=spare)
+            add(spare, 2.0 * s, out=u)
+            u, spare = divide(u, t + 1, out=spare), u
         return u
     t = 0
     while True:
@@ -396,9 +403,9 @@ def fw_quadratic_projection(target: np.ndarray, u0: np.ndarray,
             raise NumericalError(
                 f"Frank-Wolfe projection did not reach tolerance {wolfe_tol:g} "
                 f"within {FW_MAX_STEPS} steps")
-        u *= t - 1
-        u += 2.0 * s
-        u /= t + 1
+        multiply(u, t - 1, out=spare)
+        add(spare, 2.0 * s, out=u)
+        u, spare = divide(u, t + 1, out=spare), u
 
 
 # ---------------------------------------------------------------------------

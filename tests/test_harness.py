@@ -303,6 +303,89 @@ class TestRunExperiment:
                                                               "aggregate.csv"]
 
 
+class TestSharedRuns:
+    """A run that reads neither eps nor its seed runs once per repetition and
+    writes the bytes that a run of its own at each eps would write."""
+
+    SOLVERS = [{"name": "mopes", "dist_estimate": 1.0},
+               {"name": "pgd", "steps": 30},
+               {"name": "fw_pgd", "steps": 6, "trace_every": 4},
+               {"name": "fw_pgd", "mode": "wolfe"},
+               {"name": "pgd", "steps": 30, "batch_size": 2, "stepsize_rule": "diminishing"}]
+    RUNS_PER_REP = {"mopes": 3, "pgd_fixed": 1, "fw_pgd_budget": 1, "fw_pgd_wolfe": 3,
+                    "pgd_diminishing": 3}
+
+    @staticmethod
+    def config(tmp_path, solvers):
+        return small_config(tmp_path, repetitions=2, epsilons=[2.0, 1.0, 0.5],
+                            problem={"kind": "hinge_svm", "n": 20, "d": 4, "seed": 1,
+                                     "set": "l1_ball", "radius": 1.0},
+                            solvers=solvers)
+
+    @staticmethod
+    def counting_runs(monkeypatch):
+        calls = []
+        run_single = harness._run_single
+
+        def counted(spec, *args):
+            calls.append(harness._solver_label(spec))
+            return run_single(spec, *args)
+
+        monkeypatch.setattr(harness, "_run_single", counted)
+        return calls
+
+    def test_eps_free_runs_run_once_per_repetition(self, tmp_path, monkeypatch):
+        calls = self.counting_runs(monkeypatch)
+        manifest = run_experiment(self.config(tmp_path, self.SOLVERS))
+        assert manifest["failed"] == []
+        assert len(manifest["files"]) == len(self.SOLVERS) * 3 * 2 + 1
+        assert {label: calls.count(label) for label in set(calls)} == {
+            label: 2 * runs for label, runs in self.RUNS_PER_REP.items()}
+
+    def test_every_csv_equals_its_own_run(self, tmp_path):
+        cfg = self.config(tmp_path, self.SOLVERS)
+        manifest = run_experiment(cfg)
+        problem, descriptor, lipschitz = build_problem(cfg.problem)
+        files = iter(manifest["files"])
+        for si, spec in enumerate(cfg.solvers):
+            for ei, eps in enumerate(cfg.epsilons):
+                for rep in range(cfg.repetitions):
+                    alone = harness._run_single(spec, problem, descriptor, lipschitz, eps, ei,
+                                                si, rep, cfg.seed, manifest["reference_value"])
+                    expected = "".join(f"{row}\n" for row in [CSV_HEADER,
+                                                               *alone.trace.csv_rows()])
+                    path = next(files)
+                    assert Path(path).name == f"{harness._solver_label(spec)}_eps{eps:g}_rep{rep}.csv"
+                    assert Path(path).read_text() == expected
+        # the eps-free runs differ across accuracies only in their seed column
+        texts = [(tmp_path / "out" / f"pgd_fixed_eps{eps:g}_rep0.csv").read_text()
+                 for eps in cfg.epsilons]
+        assert len({tuple(row.rsplit(",", 1)[0] for row in text.splitlines())
+                    for text in texts}) == 1
+        assert len(set(texts)) == 3
+
+    def test_failure_of_a_shared_run_fails_every_eps(self, tmp_path, monkeypatch):
+        calls = self.counting_runs(monkeypatch)
+        cfg = self.config(tmp_path, [{"name": "pgd", "steps": 30}])
+        failing_seed = harness._run_seed(cfg.seed, 0, 0, 0)
+        real_pgd = harness.pgd
+
+        def pgd_failing_on_rep0(*args, seed, **kwargs):
+            if seed == failing_seed:
+                raise NumericalError(f"pgd_fixed: a value at step 7 is not finite ({seed})")
+            return real_pgd(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(harness, "pgd", pgd_failing_on_rep0)
+        manifest = run_experiment(cfg)
+        assert calls == ["pgd_fixed", "pgd_fixed"]
+        failed = [f["run"] for f in manifest["failed"]]
+        assert failed == [f"pgd_fixed_eps{eps:g}_rep0" for eps in cfg.epsilons]
+        assert {f["error"] for f in manifest["failed"]} == {
+            f"pgd_fixed: a value at step 7 is not finite ({failing_seed})"}
+        assert [Path(f).name for f in manifest["files"]] == [
+            *(f"pgd_fixed_eps{eps:g}_rep1.csv" for eps in cfg.epsilons), "aggregate.csv"]
+
+
 class TestSlopeFits:
     def synthetic_traces(self, exponent, constant=1024.0):
         eps_values = [0.5, 0.25, 0.125]
@@ -459,10 +542,31 @@ class TestCli:
         ({"solvers": [{"name": "pgd", "steps": True}]}, "'steps'"),
         ({"seed": "3"}, "'seed'"),
         ({"repetitions": float("inf")}, "'repetitions'"),
+        ({"problem": {"kind": "piecewise_linear", "d": 0}}, "'d'"),
+        ({"problem": {"kind": "piecewise_linear", "pieces": 1}}, "'pieces'"),
+        ({"problem": {"kind": "hinge_svm", "n": 0}}, "'n'"),
+        ({"problem": {"kind": "matrix_svm", "rows": 0}}, "'rows'"),
+        ({"problem": {"kind": "matrix_svm", "cols": -2}}, "'cols'"),
+        ({"problem": {"kind": "piecewise_linear", "radius": -1}}, "'radius'"),
+        ({"problem": {"kind": "piecewise_linear", "radius": 0}}, "'radius'"),
+        ({"solvers": [{"name": "pgd", "steps": 0}]}, "'steps'"),
+        ({"solvers": [{"name": "fw_pgd", "steps": 0}]}, "'steps'"),
+        ({"solvers": [{"name": "pgd", "trace_every": 0}]}, "'trace_every'"),
+        ({"solvers": [{"name": "mopes", "batch_size": 0}]}, "'batch_size'"),
+        ({"solvers": [{"name": "mopes", "c": -1}]}, "'c'"),
+        ({"solvers": [{"name": "moles", "cprime": 0}]}, "'cprime'"),
+        ({"solvers": [{"name": "mopes", "dist_estimate": 0.0}]}, "'dist_estimate'"),
+        ({"solvers": [{"name": "mopes", "c": float("nan")}]}, "'c'"),
+        ({"reference_budget": 100}, "'reference_budget'"),
+        ({"repetitions": 0}, "'repetitions'"),
     ], ids=["d", "set", "steps", "stepsize_rule", "projection_mode", "dist_estimate",
             "max_lmo", "second_solver", "duplicate_label", "unhashable_name",
             "bool_string", "bool_int", "add_bias_string", "int_fraction", "d_fraction",
-            "int_bool", "int_string", "int_infinite"])
+            "int_bool", "int_string", "int_infinite", "d_zero", "pieces_one", "n_zero",
+            "rows_zero", "cols_negative", "radius_negative", "radius_zero", "steps_zero",
+            "fw_steps_zero", "trace_every_zero", "batch_size_zero", "c_negative",
+            "cprime_zero", "dist_estimate_zero", "c_nan", "reference_budget_small",
+            "repetitions_zero"])
     def test_bad_value_fails_at_load(self, tmp_path, capsys, monkeypatch, overrides, named):
         def no_reference(*args, **kwargs):
             raise AssertionError("the reference solve ran before the config was checked")

@@ -133,6 +133,12 @@ class TestSynthPiecewiseLinear:
         with pytest.raises(ValueError):
             synth_piecewise_linear(3, 1, 0)
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_needs_a_dimension(self, dim):
+        # an empty slope matrix never has a norm above the redraw threshold
+        with pytest.raises(ValueError, match="dimension"):
+            synth_piecewise_linear(dim, 4, 0)
+
 
 @pytest.mark.parametrize("make", [
     lambda: synth_piecewise_linear(4, 5, 20),

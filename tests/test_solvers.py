@@ -366,13 +366,19 @@ class TestInPlaceInnerLoops:
         assert_same_bits(data, data_before)
 
     @pytest.mark.parametrize("mode", ["budget", "wolfe"])
-    @pytest.mark.parametrize("kind", ["l1", "nuclear"])
+    @pytest.mark.parametrize("kind", ["l1", "nuclear", "l1_d1"])
     def test_fw_projection_matches_allocating_form(self, mode, kind):
         gen = philox(11)
-        sd = l1_ball(20, 1.0) if kind == "l1" else nuclear_ball(4, 4, 1.0)
+        sd = {"l1": l1_ball(20, 1.0), "nuclear": nuclear_ball(4, 4, 1.0),
+              "l1_d1": l1_ball(1, 1.0)}[kind]
         kwargs = {"budget": 40} if mode == "budget" else {"beta": 2.0, "wolfe_tol": 1e-3}
         for _ in range(5):
-            target = gen.standard_normal(sd.dim) * 1.5
+            if sd.dim > 1:
+                target = gen.standard_normal(sd.dim) * 1.5
+            else:
+                # inside the segment, so that the Wolfe gap at the boundary
+                # start is positive and the projection takes steps
+                target = gen.uniform(-0.9, 0.9, 1)
             u0 = sd.boundary_point(gen)
             u0_before, target_before = u0.copy(), target.copy()
             counts = []
