@@ -354,9 +354,9 @@ class TestSharedRuns:
                                                 si, rep, cfg.seed, manifest["reference_value"])
                     expected = "".join(f"{row}\n" for row in [CSV_HEADER,
                                                                *alone.trace.csv_rows()])
-                    path = next(files)
-                    assert Path(path).name == f"{harness._solver_label(spec)}_eps{eps:g}_rep{rep}.csv"
-                    assert Path(path).read_text() == expected
+                    path = Path(next(files))
+                    assert path.name == f"{harness._solver_label(spec)}_eps{eps:g}_rep{rep}.csv"
+                    assert path.read_text() == expected
         # the eps-free runs differ across accuracies only in their seed column
         texts = [(tmp_path / "out" / f"pgd_fixed_eps{eps:g}_rep0.csv").read_text()
                  for eps in cfg.epsilons]
