@@ -82,11 +82,30 @@ def _at_least(low: int):
     return convert
 
 
+def _real(value) -> float:
+    """A finite JSON number; a bool, a string, NaN or an infinity is rejected
+    instead of being converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, not {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, not {value!r}")
+    return float(value)
+
+
 def _positive(value) -> float:
-    value = float(value)
+    value = _real(value)
     if not value > 0:
         raise ValueError(f"must be positive, not {value!r}")
     return value
+
+
+def _list_of(convert):
+    """A JSON list, each element read by ``convert``."""
+    def read(value):
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, not {value!r}")
+        return [convert(element) for element in value]
+    return read
 
 
 def _choice(*allowed):
@@ -131,19 +150,22 @@ def _read(where: str, raw, table: dict, tag: str | None = None) -> dict:
 
 # Every key the harness reads, per problem kind, per solver and at the top
 # level, as ``key: (conversion, default)``.  Any other key is rejected, so a
-# typo cannot fall back to a default.
-_PROBLEM_SHARED = {"kind": (str, _REQUIRED), "set": (_choice(*SetDescriptor._KINDS), "l1_ball"),
-                   "radius": (_positive, 1.0), "seed": (_integer, 0)}
+# typo cannot fall back to a default.  Only a matrix-shaped problem takes
+# the nuclear ball.
+_PROBLEM_SHARED = {"kind": (str, _REQUIRED), "radius": (_positive, 1.0), "seed": (_integer, 0)}
+_VECTOR_SET = {"set": (_choice("l1_ball", "l2_ball"), "l1_ball")}
 PROBLEM_KEYS = {
-    "piecewise_linear": _PROBLEM_SHARED | {
+    "piecewise_linear": _PROBLEM_SHARED | _VECTOR_SET | {
         "d": (_at_least(1), 10), "pieces": (_at_least(2), 6),
-        "anchor": (lambda v: np.asarray(v, dtype=float), None)},
-    "hinge_svm": _PROBLEM_SHARED | {
+        "anchor": (lambda v: np.array(_list_of(_real)(v)), None)},
+    "hinge_svm": _PROBLEM_SHARED | _VECTOR_SET | {
         "n": (_at_least(1), 100), "d": (_at_least(1), 10), "add_bias": (_boolean, False),
         "data_path": (str, None)},
     "matrix_svm": _PROBLEM_SHARED | {
+        "set": (_choice(*SetDescriptor._KINDS), "l1_ball"),
         "n": (_at_least(1), 50), "rows": (_at_least(1), 4), "cols": (_at_least(1), 4)},
 }
+_FINITE_SUMS = ("hinge_svm", "matrix_svm")  # the kinds a minibatch oracle can sample
 _SOLVER_SHARED = {"name": (str, _REQUIRED), "batch_size": (_at_least(1), None)}
 _SPLITTING = _SOLVER_SHARED | {"c": (_positive, 1.0), "cprime": (_positive, 1.0),
                                "dist_estimate": (_positive, None)}
@@ -155,13 +177,13 @@ SOLVER_KEYS = {
                         "stepsize_rule": (_choice(*STEPSIZE_RULES), "fixed")},
     "fw_pgd": _BASELINE | {"steps": (_at_least(1), None),
                            "mode": (_choice(*PROJECTION_MODES), "budget"),
-                           "max_lmo": (float, None), "target_gap": (float, None)},
+                           "max_lmo": (_positive, None), "target_gap": (_real, None)},
 }
 CONFIG_KEYS = {
     "seed": (_integer, 0),
     "output_dir": (str, "nsopt_out"),
     "repetitions": (_at_least(1), 1),
-    "epsilons": (lambda v: [float(e) for e in v], _REQUIRED),
+    "epsilons": (_list_of(_positive), _REQUIRED),
     "reference_budget": (_at_least(10 ** 4), 10 ** 5),
     "problem": (lambda v: _read("problem", v, PROBLEM_KEYS, "kind"), _REQUIRED),
     "solvers": (lambda v: [_read("solver", s, SOLVER_KEYS, "name") for s in v], _REQUIRED),
@@ -186,10 +208,19 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         cfg = cls(**_read("config", raw, CONFIG_KEYS))
-        if not cfg.epsilons or any(e <= 0 for e in cfg.epsilons):
-            raise ConfigError("epsilons must be a nonempty list of positive values")
+        if not cfg.epsilons:
+            raise ConfigError("epsilons must be a nonempty list")
         if len(set(cfg.epsilons)) != len(cfg.epsilons):
             raise ConfigError("epsilons must be distinct")
+        kind, anchor = cfg.problem["kind"], cfg.problem.get("anchor")
+        if anchor is not None and len(anchor) != cfg.problem["d"]:
+            raise ConfigError(f"problem key 'anchor': has {len(anchor)} entries, "
+                              f"but 'd' is {cfg.problem['d']}")
+        for spec in cfg.solvers:
+            if spec["batch_size"] is not None and kind not in _FINITE_SUMS:
+                raise ConfigError(f"{spec['name']} solver key 'batch_size': a minibatch needs "
+                                  f"a finite-sum problem ({', '.join(_FINITE_SUMS)}), "
+                                  f"not {kind}")
         labels = [_solver_label(spec) for spec in cfg.solvers]
         repeated = sorted({label for label in labels if labels.count(label) > 1})
         if repeated:
@@ -216,8 +247,6 @@ def build_problem(problem_cfg: dict):
     instance's certified bound.
     """
     spec = _read("problem", problem_cfg, PROBLEM_KEYS, "kind")
-    if spec["set"] == "nuclear_ball" and spec["kind"] != "matrix_svm":
-        raise ConfigError("nuclear_ball set needs a matrix-shaped problem")
     if spec["kind"] == "piecewise_linear":
         instance = synth_piecewise_linear(spec["d"], spec["pieces"], spec["seed"],
                                           anchor=spec["anchor"])

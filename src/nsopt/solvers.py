@@ -99,9 +99,9 @@ class SolverConfig:
         """Derive the full configuration from a target accuracy.
 
         Sets ``lam = eps / G^2``, ``d_tilde = c * dist^2``, and the outer
-        step count ``ceil(2 sqrt(10 + 8c) G dist / eps)`` for exact
-        projections or ``ceil(2 sqrt(10 + 8c(1 + c')) G dist / eps)`` for
-        Frank-Wolfe approximated ones, where ``dist`` (``dist_estimate``,
+        step count ``ceil(2 sqrt(10 + 8c(1 + c')) G dist / eps)`` for
+        Frank-Wolfe approximated projections, with ``c' = 0`` for exact
+        ones (``mopes``), where ``dist`` (``dist_estimate``,
         by default the set diameter) estimates the distance from the start
         point to a minimizer.  ``domain_radius`` defaults to the set radius.
         """
@@ -109,15 +109,13 @@ class SolverConfig:
             raise ValueError("target accuracy must be positive")
         if c <= 0:
             raise ValueError("c must be positive")
+        if method not in ("mopes", "moles"):
+            raise ValueError(f"unknown method {method!r}")
         dist = set_diameter if dist_estimate is None else float(dist_estimate)
         lam = eps / lipschitz ** 2
-        if method == "mopes":
-            k_total = math.ceil(2.0 * math.sqrt(10.0 + 8.0 * c) * lipschitz * dist / eps)
-        elif method == "moles":
-            k_total = math.ceil(2.0 * math.sqrt(10.0 + 8.0 * c * (1.0 + cprime))
-                                * lipschitz * dist / eps)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        fw_share = cprime if method == "moles" else 0.0  # exact projections: c' = 0
+        k_total = math.ceil(2.0 * math.sqrt(10.0 + 8.0 * c * (1.0 + fw_share))
+                            * lipschitz * dist / eps)
         return cls(
             lam=lam, outer_steps=k_total, d_tilde=c * dist ** 2,
             lipschitz=lipschitz, set_diameter=set_diameter,
@@ -377,35 +375,30 @@ def fw_quadratic_projection(target: np.ndarray, u0: np.ndarray,
     """
     if (budget is None) == (wolfe_tol is None):
         raise ValueError("specify exactly one of budget or wolfe_tol")
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be a positive integer")
     u = np.array(u0, dtype=float, copy=True)
     spare = np.empty_like(u)
     minimize = lmo.minimize
     multiply, add, divide = np.multiply, np.add, np.divide
-    if budget is not None:
-        if budget < 1:
-            raise ValueError("budget must be a positive integer")
-        for t in range(1, budget + 1):
-            s = minimize(u - target)
-            multiply(u, t - 1, out=spare)
-            add(spare, 2.0 * s, out=u)
-            u, spare = divide(u, t + 1, out=spare), u
-        return u
-    t = 0
-    while True:
+    # Under the Wolfe rule the loop leaves only by a return or a raise: LMO
+    # call FW_MAX_STEPS + 1 raises unless its gap is within the tolerance.
+    for t in range(1, (FW_MAX_STEPS + 1 if budget is None else budget) + 1):
         s = minimize(u - target)
-        gap = beta * float((u - target) @ (u - s))
-        if gap <= wolfe_tol:
-            return u
-        if math.isnan(gap):
-            raise NumericalError("Frank-Wolfe projection: the Wolfe gap is NaN")
-        t += 1
-        if t > FW_MAX_STEPS:
-            raise NumericalError(
-                f"Frank-Wolfe projection did not reach tolerance {wolfe_tol:g} "
-                f"within {FW_MAX_STEPS} steps")
+        if wolfe_tol is not None:
+            gap = beta * float((u - target) @ (u - s))
+            if gap <= wolfe_tol:
+                return u
+            if math.isnan(gap):
+                raise NumericalError("Frank-Wolfe projection: the Wolfe gap is NaN")
+            if t > FW_MAX_STEPS:
+                raise NumericalError(
+                    f"Frank-Wolfe projection did not reach tolerance {wolfe_tol:g} "
+                    f"within {FW_MAX_STEPS} steps")
         multiply(u, t - 1, out=spare)
         add(spare, 2.0 * s, out=u)
         u, spare = divide(u, t + 1, out=spare), u
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -479,21 +472,21 @@ def moles(problem, oracle, lmo: LinearMinimizationOracle, config: SolverConfig,
     Identical to ``mopes`` except the constrained move.  Fixed-budget runs
     consume exactly ``outer_steps * config.fw_budget`` LMO calls; Wolfe
     mode stops each projection at the dual-gap tolerance
-    ``4 c' d_tilde / (lam K k)`` instead.
+    ``4 c' d_tilde / (lam K k)`` instead, and names its trace
+    ``moles_wolfe``.
     """
     x0 = _check_start_point(x0, lmo)
     counters = OracleCounters()
     counted = wrap_counting(lmo, counters)
+    wolfe = config.projection_mode == "wolfe"
+    budget = None if wolfe else config.fw_budget  # the same at every outer step
 
-    if config.projection_mode == "wolfe":
-        def step(target, z_prev, sched):
-            return fw_quadratic_projection(target, z_prev, counted, beta=sched.beta,
-                                           wolfe_tol=sched.wolfe_tol)
-    else:
-        def step(target, z_prev, sched):
-            return fw_quadratic_projection(target, z_prev, counted, budget=sched.fw_budget)
+    def step(target, z_prev, sched):
+        return fw_quadratic_projection(target, z_prev, counted, budget, sched.beta,
+                                       sched.wolfe_tol if wolfe else None)
 
-    return _moreau_splitting(problem, oracle, counters, step, config, x0, "moles", f_ref)
+    return _moreau_splitting(problem, oracle, counters, step, config, x0,
+                             "moles_wolfe" if wolfe else "moles", f_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +582,12 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
 
     noise = lipschitz ** 2 + sigma ** 2
     alpha = set_diameter / (2.0 * math.sqrt(noise) * math.sqrt(steps))
-    wolfe_tol = noise * alpha
-    # Next integer above the budget ratio; one extra step guards the
-    # boundary where the ratio is itself integral.
-    step_budget = math.floor(7.0 * set_diameter ** 2 / (alpha ** 2 * noise)) + 1
+    # The stop of every projection: the next integer above the budget ratio
+    # (one extra step guards the boundary where the ratio is itself
+    # integral), or the Wolfe-gap tolerance.
+    budget = (math.floor(7.0 * set_diameter ** 2 / (alpha ** 2 * noise)) + 1
+              if mode == "budget" else None)
+    wolfe_tol = noise * alpha if mode == "wolfe" else None
 
     weighted = np.zeros_like(x)
     weight_sum = 0.0
@@ -610,10 +605,6 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
                                  f_ref, t_start, f_current=float(value))
             if spent or k == steps or (target_gap is not None and record.gap <= target_gap):
                 break
-        target = x - alpha * grad
-        if mode == "wolfe":
-            x = fw_quadratic_projection(target, x, counted_lmo,
-                                        beta=1.0 / alpha, wolfe_tol=wolfe_tol)
-        else:
-            x = fw_quadratic_projection(target, x, counted_lmo, budget=step_budget)
+        x = fw_quadratic_projection(x - alpha * grad, x, counted_lmo, budget, 1.0 / alpha,
+                                    wolfe_tol)
     return SolverResult(x=weighted / weight_sum, x_prime=None, trace=trace, counters=counters)

@@ -99,6 +99,15 @@ class TestConfig:
             {"name": "moles", "batch_size": None, "c": 1.0, "cprime": 1.0,
              "dist_estimate": None, "projection_mode": "budget"}]
 
+    def test_real_values_load_as_floats(self, tmp_path):
+        # a gap against a reference above the minimum can be negative
+        cfg = small_config(tmp_path, epsilons=[1, 0.5],
+                           problem={"kind": "piecewise_linear", "d": 2, "anchor": [0, 0.5]},
+                           solvers=[{"name": "fw_pgd", "max_lmo": 1000, "target_gap": -0.5}])
+        assert cfg.epsilons == [1.0, 0.5] and type(cfg.epsilons[0]) is float
+        assert cfg.problem["anchor"].tolist() == [0.0, 0.5]
+        assert cfg.solvers[0]["max_lmo"] == 1000.0 and cfg.solvers[0]["target_gap"] == -0.5
+
     def test_shipped_config_loads(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "desk_sweep.json"
         assert [s["name"] for s in load_config(str(path)).solvers] == ["mopes", "pgd"]
@@ -364,6 +373,21 @@ class TestSharedRuns:
                     for text in texts}) == 1
         assert len(set(texts)) == 3
 
+    def test_algorithm_column_is_the_file_label(self, tmp_path):
+        solvers = [*self.SOLVERS, {"name": "moles", "dist_estimate": 1.0},
+                   {"name": "moles", "projection_mode": "wolfe", "dist_estimate": 1.0}]
+        cfg = self.config(tmp_path, solvers)
+        manifest = run_experiment(cfg)
+        assert manifest["failed"] == []
+        labels = {harness._solver_label(spec) for spec in cfg.solvers}
+        seen = set()
+        for path in map(Path, manifest["files"][:-1]):
+            label = path.name.split("_eps", 1)[0]
+            rows = path.read_text().splitlines()[1:]
+            assert rows and {row.split(",", 1)[0] for row in rows} == {label}
+            seen.add(label)
+        assert seen == labels
+
     def test_failure_of_a_shared_run_fails_every_eps(self, tmp_path, monkeypatch):
         calls = self.counting_runs(monkeypatch)
         cfg = self.config(tmp_path, [{"name": "pgd", "steps": 30}])
@@ -559,6 +583,21 @@ class TestCli:
         ({"solvers": [{"name": "mopes", "c": float("nan")}]}, "'c'"),
         ({"reference_budget": 100}, "'reference_budget'"),
         ({"repetitions": 0}, "'repetitions'"),
+        ({"problem": {"kind": "piecewise_linear", "radius": True}}, "'radius'"),
+        ({"solvers": [{"name": "mopes", "c": "2.5"}]}, "'c'"),
+        ({"solvers": [{"name": "mopes", "c": float("inf")}]}, "'c'"),
+        ({"epsilons": "5"}, "'epsilons'"),
+        ({"epsilons": [float("nan"), 0.5, 0.25]}, "'epsilons'"),
+        ({"epsilons": [0.4, True]}, "'epsilons'"),
+        ({"solvers": [{"name": "fw_pgd", "max_lmo": float("nan")}]}, "'max_lmo'"),
+        ({"solvers": [{"name": "fw_pgd", "max_lmo": 0}]}, "'max_lmo'"),
+        ({"solvers": [{"name": "fw_pgd", "target_gap": float("-inf")}]}, "'target_gap'"),
+        ({"solvers": [{"name": "fw_pgd", "target_gap": "0.1"}]}, "'target_gap'"),
+        ({"problem": {"kind": "piecewise_linear", "d": 2, "anchor": ["0.1", 0.2]}}, "'anchor'"),
+        ({"problem": {"kind": "piecewise_linear", "d": 2, "anchor": [True, 0.2]}}, "'anchor'"),
+        ({"problem": {"kind": "piecewise_linear", "d": 3, "anchor": [0.1, 0.2]}}, "'anchor'"),
+        ({"solvers": [{"name": "pgd", "batch_size": 2}]}, "'batch_size'"),
+        ({"problem": {"kind": "hinge_svm", "set": "nuclear_ball"}}, "'set'"),
     ], ids=["d", "set", "steps", "stepsize_rule", "projection_mode", "dist_estimate",
             "max_lmo", "second_solver", "duplicate_label", "unhashable_name",
             "bool_string", "bool_int", "add_bias_string", "int_fraction", "d_fraction",
@@ -566,7 +605,10 @@ class TestCli:
             "rows_zero", "cols_negative", "radius_negative", "radius_zero", "steps_zero",
             "fw_steps_zero", "trace_every_zero", "batch_size_zero", "c_negative",
             "cprime_zero", "dist_estimate_zero", "c_nan", "reference_budget_small",
-            "repetitions_zero"])
+            "repetitions_zero", "radius_bool", "c_string", "c_infinite", "epsilons_string",
+            "epsilons_nan", "epsilons_bool", "max_lmo_nan", "max_lmo_zero",
+            "target_gap_infinite", "target_gap_string", "anchor_string", "anchor_bool",
+            "anchor_length", "batch_size_not_finite_sum", "nuclear_ball_on_vector"])
     def test_bad_value_fails_at_load(self, tmp_path, capsys, monkeypatch, overrides, named):
         def no_reference(*args, **kwargs):
             raise AssertionError("the reference solve ran before the config was checked")
