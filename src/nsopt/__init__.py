@@ -46,7 +46,6 @@ from .problems import (
     HingeSvmInstance,
     MatrixSvmInstance,
     PiecewiseLinearInstance,
-    load_dense_csv,
     synth_hinge_data,
     synth_piecewise_linear,
 )

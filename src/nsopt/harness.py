@@ -1,9 +1,9 @@
 """Experiment harness: config parsing, reference solves, sweeps, CSV traces,
 and log-log slope fits of oracle-call counts against target accuracy.
 
-A single JSON config file describes one experiment: a problem (synthetic or
-loaded from CSV), a constraint set, a list of solvers with per-solver
-options, a list of target accuracies, and a repetition count.  Each
+A single JSON config file describes one experiment: a synthetic problem,
+a constraint set, a list of solvers with per-solver options, a list of
+target accuracies, and a repetition count.  Each
 (solver, accuracy, repetition) run writes one CSV trace; an aggregate CSV
 holds per-row means across repetitions.  Runs are deterministic per
 (global seed, repetition index), and within one repetition every solver
@@ -33,7 +33,6 @@ from .oracles import (
 from .problems import (
     HingeSvmInstance,
     MatrixSvmInstance,
-    load_dense_csv,
     synth_hinge_data,
     synth_piecewise_linear,
 )
@@ -159,24 +158,22 @@ PROBLEM_KEYS = {
         "d": (_at_least(1), 10), "pieces": (_at_least(2), 6),
         "anchor": (lambda v: np.array(_list_of(_real)(v)), None)},
     "hinge_svm": _PROBLEM_SHARED | _VECTOR_SET | {
-        "n": (_at_least(1), 100), "d": (_at_least(1), 10), "add_bias": (_boolean, False),
-        "data_path": (str, None)},
+        "n": (_at_least(1), 100), "d": (_at_least(1), 10), "add_bias": (_boolean, False)},
     "matrix_svm": _PROBLEM_SHARED | {
         "set": (_choice(*SetDescriptor._KINDS), "l1_ball"),
         "n": (_at_least(1), 50), "rows": (_at_least(1), 4), "cols": (_at_least(1), 4)},
 }
 _FINITE_SUMS = ("hinge_svm", "matrix_svm")  # the kinds a minibatch oracle can sample
 _SOLVER_SHARED = {"name": (str, _REQUIRED), "batch_size": (_at_least(1), None)}
-_SPLITTING = _SOLVER_SHARED | {"c": (_positive, 1.0), "cprime": (_positive, 1.0),
-                               "dist_estimate": (_positive, None)}
-_BASELINE = _SOLVER_SHARED | {"trace_every": (_at_least(1), 1)}
+_SPLITTING = _SOLVER_SHARED | {"c": (_positive, 1.0), "dist_estimate": (_positive, None)}
+# A baseline without ``steps`` takes the horizon that ``_solver_options`` derives from eps.
+_BASELINE = _SOLVER_SHARED | {"steps": (_at_least(1), None), "trace_every": (_at_least(1), 1)}
 SOLVER_KEYS = {
     "mopes": _SPLITTING,
-    "moles": _SPLITTING | {"projection_mode": (_choice(*PROJECTION_MODES), "budget")},
-    "pgd": _BASELINE | {"steps": (_at_least(1), 10 ** 4),
-                        "stepsize_rule": (_choice(*STEPSIZE_RULES), "fixed")},
-    "fw_pgd": _BASELINE | {"steps": (_at_least(1), None),
-                           "mode": (_choice(*PROJECTION_MODES), "budget"),
+    "moles": _SPLITTING | {"cprime": (_positive, 1.0),
+                           "projection_mode": (_choice(*PROJECTION_MODES), "budget")},
+    "pgd": _BASELINE | {"stepsize_rule": (_choice(*STEPSIZE_RULES), "fixed")},
+    "fw_pgd": _BASELINE | {"mode": (_choice(*PROJECTION_MODES), "budget"),
                            "max_lmo": (_positive, None), "target_gap": (_real, None)},
 }
 CONFIG_KEYS = {
@@ -210,6 +207,8 @@ class ExperimentConfig:
         cfg = cls(**_read("config", raw, CONFIG_KEYS))
         if not cfg.epsilons:
             raise ConfigError("epsilons must be a nonempty list")
+        if not cfg.solvers:
+            raise ConfigError("solvers must be a nonempty list")
         if len(set(cfg.epsilons)) != len(cfg.epsilons):
             raise ConfigError("epsilons must be distinct")
         kind, anchor = cfg.problem["kind"], cfg.problem.get("anchor")
@@ -239,23 +238,19 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
-def build_problem(problem_cfg: dict):
+def build_problem(spec: dict):
     """Instantiate the problem and constraint set of an experiment.
 
-    ``problem_cfg`` is read by ``PROBLEM_KEYS``.  Returns ``(instance,
-    set_descriptor, lipschitz)`` where the Lipschitz constant is the
-    instance's certified bound.
+    ``spec`` is an ``ExperimentConfig.problem``, already read by
+    ``PROBLEM_KEYS``.  Returns ``(instance, set_descriptor, lipschitz)``
+    where the Lipschitz constant is the instance's certified bound.
     """
-    spec = _read("problem", problem_cfg, PROBLEM_KEYS, "kind")
     if spec["kind"] == "piecewise_linear":
         instance = synth_piecewise_linear(spec["d"], spec["pieces"], spec["seed"],
                                           anchor=spec["anchor"])
     elif spec["kind"] == "hinge_svm":
-        if spec["data_path"] is None:
-            rows = synth_hinge_data(spec["n"], spec["d"], spec["seed"], add_bias=spec["add_bias"])
-        else:
-            rows = load_dense_csv(spec["data_path"], add_bias=spec["add_bias"])
-        instance = HingeSvmInstance(rows)
+        instance = HingeSvmInstance(synth_hinge_data(spec["n"], spec["d"], spec["seed"],
+                                                     add_bias=spec["add_bias"]))
     else:
         m, p = spec["rows"], spec["cols"]
         flat = synth_hinge_data(spec["n"], m * p, spec["seed"])
@@ -292,26 +287,58 @@ def _solver_label(spec: dict) -> str:
     return spec["name"]
 
 
-def _seed_int(*parts: int) -> int:
-    return int(np.random.SeedSequence(list(parts)).generate_state(1, dtype=np.uint64)[0])
-
-
 def _run_seed(global_seed: int, solver_index: int, eps_index: int, rep: int) -> int:
     """The seed of one (solver, accuracy, repetition) run."""
-    return _seed_int(global_seed, solver_index, eps_index, rep)
+    parts = [global_seed, solver_index, eps_index, rep]
+    return int(np.random.SeedSequence(parts).generate_state(1, dtype=np.uint64)[0])
 
 
 def _reads_neither_eps_nor_seed(spec: dict) -> bool:
     """Whether ``_run_single`` gives the same records at every accuracy.
 
-    Eps reaches a run only through ``SolverConfig.from_target`` and the
-    ``steps`` that ``fw_pgd`` derives when none is given, and the run seed
+    Eps reaches a run only through ``_solver_options``, and the run seed
     only through the random stream of the minibatch SFO (a deterministic FO
-    never draws from it), so such a run differs across accuracies only in
-    the seed that its trace carries.
+    never draws from it).  So a run that gives ``steps`` and no
+    ``batch_size`` differs across accuracies only in the seed that its
+    trace carries.
     """
-    eps_free = spec["name"] == "pgd" or (spec["name"] == "fw_pgd" and spec["steps"] is not None)
-    return eps_free and spec["batch_size"] is None
+    return spec.get("steps") is not None and spec["batch_size"] is None
+
+
+def _oracle(spec: dict, problem):
+    """The subgradient oracle of a solver entry and its noise bound sigma:
+    the minibatch SFO with ``batch_size``, else the deterministic FO."""
+    if spec["batch_size"] is None:
+        return FirstOrderOracle.from_instance(problem), 0.0
+    oracle = minibatch_sfo(problem, spec["batch_size"])
+    return oracle, math.sqrt(oracle.variance_bound)
+
+
+def _solver_options(spec: dict, eps: float, lipschitz: float, diameter: float,
+                    sigma: float, seed: int = 0) -> dict:
+    """The keyword arguments that a run at ``eps`` passes to its solver.
+
+    A baseline (``pgd``, ``fw_pgd``) passes its own keys, with ``steps``
+    derived as ``ceil((2 sqrt(G^2 + sigma^2) D / eps)^2)`` when the entry
+    gives none; ``mopes`` and ``moles`` pass the ``config`` that
+    ``SolverConfig.from_target`` derives.  A derived size out of range is a
+    ``ConfigError`` naming the solver and eps.
+    """
+    options = {key: value for key, value in spec.items() if key not in _SOLVER_SHARED}
+    try:
+        if spec["name"] in ("mopes", "moles"):
+            return {"config": SolverConfig.from_target(eps, lipschitz, diameter,
+                                                       method=spec["name"], sigma=sigma,
+                                                       seed=seed, **options)}
+        if options["steps"] is None:
+            noise = math.sqrt(lipschitz ** 2 + sigma ** 2)
+            options["steps"] = math.ceil((2.0 * noise * diameter / eps) ** 2)
+        return options
+    except OverflowError:
+        reason = "a derived size overflows"
+    except ValueError as exc:
+        reason = str(exc)
+    raise ConfigError(f"{_solver_label(spec)} at eps={eps!r}: {reason}")
 
 
 def _run_single(spec: dict, problem, descriptor: SetDescriptor, lipschitz: float,
@@ -319,41 +346,28 @@ def _run_single(spec: dict, problem, descriptor: SetDescriptor, lipschitz: float
                 global_seed: int, f_ref: float):
     """Execute one (solver, accuracy, repetition) run and return its trace.
 
-    ``spec`` is a solver entry read by ``SOLVER_KEYS``; its keys other than
-    ``name`` and ``batch_size`` are the solver's own keyword arguments.
+    ``spec`` is a solver entry read by ``SOLVER_KEYS``.
     ``_reads_neither_eps_nor_seed`` must follow every use of ``eps`` and of
     the run seed here.
     """
     name = spec["name"]
-    options = {key: value for key, value in spec.items() if key not in _SOLVER_SHARED}
     run_seed = _run_seed(global_seed, solver_index, eps_index, rep)
     # Starting points are shared across solvers and accuracies for a given
     # repetition, mirroring mean-over-runs plots with common starts.
     x0 = descriptor.boundary_point(_philox([global_seed, 1000003, rep]))
     po = ProjectionOracle.from_set(descriptor)
     lmo = LinearMinimizationOracle.from_set(descriptor)
-
-    if spec["batch_size"] is not None:
-        oracle = minibatch_sfo(problem, spec["batch_size"])
-        sigma = math.sqrt(oracle.variance_bound)
-    else:
-        oracle = FirstOrderOracle.from_instance(problem)
-        sigma = 0.0
-
+    oracle, sigma = _oracle(spec, problem)
+    options = _solver_options(spec, eps, lipschitz, descriptor.diameter, sigma, run_seed)
     if name == "pgd":
         return pgd(problem, oracle, po, x0, lipschitz=lipschitz,
                    set_diameter=descriptor.diameter, seed=run_seed, f_ref=f_ref, **options)
     if name == "fw_pgd":
-        if options["steps"] is None:
-            noise = math.sqrt(lipschitz ** 2 + sigma ** 2)
-            options["steps"] = math.ceil((2.0 * noise * descriptor.diameter / eps) ** 2)
         return fw_pgd(problem, oracle, lmo, x0, lipschitz=lipschitz, sigma=sigma,
                       set_diameter=descriptor.diameter, seed=run_seed, f_ref=f_ref, **options)
-    config = SolverConfig.from_target(eps, lipschitz, descriptor.diameter, method=name,
-                                      sigma=sigma, seed=run_seed, **options)
     if name == "mopes":
-        return mopes(problem, oracle, po, config, x0, f_ref=f_ref)
-    return moles(problem, oracle, lmo, config, x0, f_ref=f_ref)
+        return mopes(problem, oracle, po, x0=x0, f_ref=f_ref, **options)
+    return moles(problem, oracle, lmo, x0=x0, f_ref=f_ref, **options)
 
 
 _MEAN_COLUMNS = operator.attrgetter("fo_calls", "sfo_calls", "po_calls", "lmo_calls",
@@ -391,11 +405,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
     bytes a run of its own would write.  Its failure fails it at every
     accuracy, with the same message.
     """
+    problem, descriptor, lipschitz = build_problem(config.problem)
+    for spec in config.solvers:  # every derived size is in range before any file or solve
+        _, sigma = _oracle(spec, problem)
+        for eps in config.epsilons:
+            _solver_options(spec, eps, lipschitz, descriptor.diameter, sigma)
     out_dir = os.environ.get(OUTPUT_DIR_ENV, config.output_dir)
     os.makedirs(out_dir, exist_ok=True)
-    problem, descriptor, lipschitz = build_problem(config.problem)
-    f_ref, _ = reference_optimum(problem, descriptor, config.reference_budget,
-                                 seed=_seed_int(config.seed, 999))
+    f_ref, _ = reference_optimum(problem, descriptor, config.reference_budget)
     manifest = {"reference_value": f_ref, "files": [], "runs": [], "failed": []}
     groups: dict[tuple[str, float], list[RunTrace]] = {}
     for si, spec in enumerate(config.solvers):

@@ -13,11 +13,8 @@ objectives pick the lowest-index active piece, and the absolute value uses
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
-from .errors import FormatError
 from .oracles import _philox
 
 
@@ -197,39 +194,3 @@ def synth_hinge_data(n: int, dim: int, seed: int, add_bias: bool = False) -> np.
         features = np.hstack([features, np.ones((n, 1))])
     return features * labels[:, None]
 
-
-def load_dense_csv(path: str, add_bias: bool = False) -> np.ndarray:
-    """Load label-folded SVM rows from a dense CSV file.
-
-    Each row holds feature reals followed by a final label column in
-    ``{0, 1}``; labels map to ``{-1, +1}`` and multiply into the features.
-    Parse failures raise ``FormatError`` with the offending row and column.
-    """
-    rows = []
-    with open(path, newline="") as fh:
-        for i, record in enumerate(csv.reader(fh)):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            parsed = []
-            for j, token in enumerate(record):
-                try:
-                    parsed.append(float(token))
-                except ValueError:
-                    raise FormatError(
-                        f"{path}: row {i + 1}, column {j + 1}: not a real number: {token!r}"
-                    ) from None
-            if len(parsed) < 2:
-                raise FormatError(f"{path}: row {i + 1}: need at least one feature and a label")
-            rows.append(parsed)
-    if not rows:
-        raise FormatError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise FormatError(f"{path}: inconsistent row widths {sorted(widths)}")
-    data = np.asarray(rows, dtype=float)
-    features, labels = data[:, :-1], data[:, -1]
-    if not np.all((labels == 0.0) | (labels == 1.0)):
-        raise FormatError(f"{path}: labels must be 0 or 1 in the last column")
-    if add_bias:
-        features = np.hstack([features, np.ones((features.shape[0], 1))])
-    return features * (2.0 * labels - 1.0)[:, None]

@@ -82,6 +82,10 @@ class SolverConfig:
             raise ValueError("lipschitz, set_diameter, domain_radius must be positive")
         if self.projection_mode not in PROJECTION_MODES:
             raise ValueError(f"projection_mode must be one of {PROJECTION_MODES}")
+        # The last outer step has the largest inner budget; it and the
+        # Frank-Wolfe budget raise OverflowError here if they are infinite.
+        compute_schedule(self.lam, self.outer_steps, self.outer_steps, 1, self.lipschitz,
+                         self.sigma, self.set_diameter, self.d_tilde, self.cprime)
 
     @property
     def fw_budget(self) -> int:

@@ -64,6 +64,7 @@ class TestConfig:
         ({"solvers": [{"name": "fw_pgd", "sigma_override": 0.5}]}, "sigma_override"),
         ({"solvers": [{"name": "mopes", "domain_radius": 2.0}]}, "domain_radius"),
         ({"solvers": [{"name": "mopes", "project_inner": False}]}, "project_inner"),
+        ({"solvers": [{"name": "mopes", "cprime": 2.0}]}, "cprime"),
     ])
     def test_unknown_keys_rejected(self, tmp_path, overrides, key):
         with pytest.raises(ConfigError, match=f"unknown .* key\\(s\\): '{key}'"):
@@ -120,8 +121,8 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(bad))
 
-    def test_build_problem_kinds(self):
-        for cfg in (
+    def test_build_problem_kinds(self, tmp_path):
+        for problem_cfg in (
             {"kind": "piecewise_linear", "d": 3, "pieces": 4, "seed": 1,
              "set": "l1_ball", "radius": 1.0},
             {"kind": "hinge_svm", "n": 10, "d": 3, "seed": 1,
@@ -129,14 +130,10 @@ class TestConfig:
             {"kind": "matrix_svm", "n": 8, "rows": 2, "cols": 3, "seed": 1,
              "set": "nuclear_ball", "radius": 0.5},
         ):
-            problem, descriptor, lipschitz = build_problem(cfg)
+            spec = small_config(tmp_path, problem=problem_cfg).problem
+            problem, descriptor, lipschitz = build_problem(spec)
             assert descriptor.dim == problem.dim
             assert lipschitz > 0
-        with pytest.raises(ConfigError):
-            build_problem({"kind": "quadratic"})
-        with pytest.raises(ConfigError):
-            build_problem({"kind": "hinge_svm", "n": 5, "d": 3,
-                           "set": "nuclear_ball", "radius": 1.0})
 
 
 class TestReferenceOptimum:
@@ -388,6 +385,20 @@ class TestSharedRuns:
             seen.add(label)
         assert seen == labels
 
+    def test_pgd_without_steps_runs_to_the_eps_horizon(self, tmp_path, monkeypatch):
+        calls = self.counting_runs(monkeypatch)
+        cfg = self.config(tmp_path, [{"name": "pgd"}])
+        manifest = run_experiment(cfg)
+        assert manifest["failed"] == []
+        assert calls == ["pgd_fixed"] * 6  # once per (eps, repetition)
+        _, descriptor, lipschitz = build_problem(cfg.problem)
+        for eps in cfg.epsilons:
+            horizon = math.ceil((2.0 * lipschitz * descriptor.diameter / eps) ** 2)
+            for rep in range(cfg.repetitions):
+                final = (tmp_path / "out" / f"pgd_fixed_eps{eps:g}_rep{rep}.csv").read_text()
+                k, fo_calls = final.splitlines()[-1].split(",")[1:3]
+                assert int(k) == int(fo_calls) == horizon
+
     def test_failure_of_a_shared_run_fails_every_eps(self, tmp_path, monkeypatch):
         calls = self.counting_runs(monkeypatch)
         cfg = self.config(tmp_path, [{"name": "pgd", "steps": 30}])
@@ -523,6 +534,16 @@ class TestCli:
         assert "sfo\tmopes\tmetric unused\n" in out
         assert "never reached" not in out
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "reference"])
+    def test_anchored_problem_runs(self, tmp_path, capsys, command):
+        path = self.write_config(tmp_path, problem={"kind": "piecewise_linear", "d": 3,
+                                                    "pieces": 4, "seed": 5,
+                                                    "anchor": [0.1, -0.2, 0.05]})
+        assert cli.main([command, str(path)]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out.strip().splitlines()[-1])
+        assert payload.get("failed", []) == []
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = self.write_config(tmp_path, solvers=[{"name": "bogus"}])
         assert cli.main(["run", str(path)]) == 2
@@ -598,6 +619,11 @@ class TestCli:
         ({"problem": {"kind": "piecewise_linear", "d": 3, "anchor": [0.1, 0.2]}}, "'anchor'"),
         ({"solvers": [{"name": "pgd", "batch_size": 2}]}, "'batch_size'"),
         ({"problem": {"kind": "hinge_svm", "set": "nuclear_ball"}}, "'set'"),
+        ({"solvers": []}, "solvers"),
+        ({"solvers": [{"name": "mopes", "c": 1e308}]}, "mopes at eps=0.4"),
+        ({"epsilons": [1e-200], "solvers": [{"name": "fw_pgd"}]}, "fw_pgd_budget at eps=1e-200"),
+        ({"epsilons": [1e-200], "solvers": [{"name": "pgd"}]}, "pgd_fixed at eps=1e-200"),
+        ({"solvers": [{"name": "moles", "cprime": 1e-308}]}, "moles at eps=0.4"),
     ], ids=["d", "set", "steps", "stepsize_rule", "projection_mode", "dist_estimate",
             "max_lmo", "second_solver", "duplicate_label", "unhashable_name",
             "bool_string", "bool_int", "add_bias_string", "int_fraction", "d_fraction",
@@ -608,7 +634,9 @@ class TestCli:
             "repetitions_zero", "radius_bool", "c_string", "c_infinite", "epsilons_string",
             "epsilons_nan", "epsilons_bool", "max_lmo_nan", "max_lmo_zero",
             "target_gap_infinite", "target_gap_string", "anchor_string", "anchor_bool",
-            "anchor_length", "batch_size_not_finite_sum", "nuclear_ball_on_vector"])
+            "anchor_length", "batch_size_not_finite_sum", "nuclear_ball_on_vector",
+            "solvers_empty", "c_overflow", "fw_pgd_steps_overflow", "pgd_steps_overflow",
+            "fw_budget_overflow"])
     def test_bad_value_fails_at_load(self, tmp_path, capsys, monkeypatch, overrides, named):
         def no_reference(*args, **kwargs):
             raise AssertionError("the reference solve ran before the config was checked")

@@ -1,4 +1,4 @@
-"""Problem instances: values, subgradients, certificates, and data loading."""
+"""Problem instances: values, subgradients and certificates."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,9 @@ from numpy.testing import assert_allclose
 
 from nsopt import (
     AbsoluteValueInstance,
-    FormatError,
     HingeSvmInstance,
     MatrixSvmInstance,
     l1_ball,
-    load_dense_csv,
     reference_optimum,
     synth_hinge_data,
     synth_piecewise_linear,
@@ -174,45 +172,3 @@ def test_recorded_minimum_matches_references():
         tol = 1e-4 * inst.lipschitz_bound * ball.diameter
         assert abs(f_star - inst.min_value) <= tol
 
-
-class TestDenseCsv:
-    def test_label_folding(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("1,0,1\n0,1,0\n")
-        folded = load_dense_csv(str(path))
-        assert_allclose(folded, [[1.0, 0.0], [-0.0, -1.0]])
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(FormatError):
-            load_dense_csv(str(path))
-
-    def test_parse_error_reports_location(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1.0,2.0,1\n0.5,oops,0\n")
-        with pytest.raises(FormatError, match="row 2, column 2"):
-            load_dense_csv(str(path))
-
-    def test_bad_labels(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("1.0,0.5,2\n")
-        with pytest.raises(FormatError):
-            load_dense_csv(str(path))
-
-    def test_round_trip_full_precision(self, tmp_path, rng):
-        features = rng.standard_normal((7, 3))
-        labels = rng.integers(0, 2, size=7)
-        path = tmp_path / "rt.csv"
-        lines = [",".join([repr(float(v)) for v in row] + [str(label)])
-                 for row, label in zip(features, labels)]
-        path.write_text("\n".join(lines) + "\n")
-        folded = load_dense_csv(str(path))
-        expected = features * (2.0 * labels - 1.0)[:, None]
-        assert np.array_equal(folded, expected)
-
-    def test_inconsistent_width(self, tmp_path):
-        path = tmp_path / "ragged.csv"
-        path.write_text("1,0,1\n0,1\n")
-        with pytest.raises(FormatError):
-            load_dense_csv(str(path))
