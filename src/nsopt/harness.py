@@ -43,6 +43,7 @@ from .solvers import (
     RunTrace,
     SolverConfig,
     TraceRecord,
+    compute_schedule,
     fw_pgd,
     moles,
     mopes,
@@ -52,6 +53,10 @@ from .solvers import (
 
 OUTPUT_DIR_ENV = "NSOPT_OUTPUT_DIR"
 _REQUIRED = object()  # the default of a key that a config must give
+# The most oracle calls of one kind that a run may be sized to make; a larger
+# derived size is a config error, since such a run would never finish.  The
+# largest acceptance run makes about 6.5e6.
+MAX_RUN_CALLS = 10 ** 12
 
 
 def _integer(value) -> int:
@@ -260,21 +265,33 @@ def build_problem(spec: dict):
 
 
 def reference_optimum(problem, feasible_set: SetDescriptor, budget: int, seed: int = 0):
-    """Estimate the optimal value by a long diminishing-step subgradient run.
-
-    Returns ``(f_star, x_star)`` where ``f_star`` is the best objective
-    value observed over the budget (never below the true minimum, since
-    every iterate is feasible) and ``x_star`` is the certificate iterate.
-    """
+    """Best value seen, and its iterate, in at most ``budget`` uncounted steps
+    ``x <- P_X(x - D g / (G sqrt(k)))`` from 0; every iterate is feasible, so
+    the value is never below the minimum ``f*``.  Every ``budget // 50``-th
+    step bounds ``f*`` from below by ``f(x) - <g, x> + min_{y in X} <g, y>``
+    (the set's LMO; Nemirovski, Onn and Rothblum 2010), and the run stops once
+    the best value is within ``1e-12 * max(1, |f_best|)`` of the largest such
+    bound.  ``seed`` is unused: the oracle is exact."""
     if budget < 10 ** 4:
         raise ValueError("reference budget must be at least 10^4 steps")
     fo = FirstOrderOracle.from_instance(problem)
-    po = ProjectionOracle.from_set(feasible_set)
-    x0 = np.zeros(feasible_set.dim)
-    result = pgd(problem, fo, po, x0, budget, fo.lipschitz_bound, feasible_set.diameter,
-                 stepsize_rule="diminishing", seed=seed,
-                 trace_every=max(1, budget // 50))
-    return float(result.f_best), result.x_best
+    project = ProjectionOracle.from_set(feasible_set).project
+    x = x_best = np.zeros(feasible_set.dim)
+    f_best, lower = math.inf, -math.inf
+    for k in range(1, budget + 1):
+        value, grad = fo.evaluate(x)
+        if value < f_best:
+            f_best, x_best = value, x
+        if k % (budget // 50) == 0:
+            certificate = value - grad @ x + grad @ feasible_set.lmo(grad)
+            if not math.isfinite(certificate):
+                raise NumericalError(f"reference solve: certificate {certificate!r} at step {k}")
+            lower = max(lower, certificate)
+            if f_best - lower <= 1e-12 * max(1.0, abs(f_best)):
+                break
+        if k < budget:
+            x = project(x - feasible_set.diameter / (fo.lipschitz_bound * math.sqrt(k)) * grad)
+    return float(f_best), x_best
 
 
 def _solver_label(spec: dict) -> str:
@@ -322,17 +339,33 @@ def _solver_options(spec: dict, eps: float, lipschitz: float, diameter: float,
     derived as ``ceil((2 sqrt(G^2 + sigma^2) D / eps)^2)`` when the entry
     gives none; ``mopes`` and ``moles`` pass the ``config`` that
     ``SolverConfig.from_target`` derives.  A derived size out of range is a
-    ``ConfigError`` naming the solver and eps.
+    ``ConfigError`` naming the solver and eps: one that overflows, or a step
+    count, inner budget or total Frank-Wolfe budget above ``MAX_RUN_CALLS``.
     """
     options = {key: value for key, value in spec.items() if key not in _SOLVER_SHARED}
     try:
         if spec["name"] in ("mopes", "moles"):
-            return {"config": SolverConfig.from_target(eps, lipschitz, diameter,
-                                                       method=spec["name"], sigma=sigma,
-                                                       seed=seed, **options)}
-        if options["steps"] is None:
-            noise = math.sqrt(lipschitz ** 2 + sigma ** 2)
-            options["steps"] = math.ceil((2.0 * noise * diameter / eps) ** 2)
+            config = SolverConfig.from_target(eps, lipschitz, diameter, method=spec["name"],
+                                              sigma=sigma, seed=seed, **options)
+            last = compute_schedule(config.lam, config.outer_steps, config.outer_steps, 1,
+                                    lipschitz, sigma, diameter, config.d_tilde, config.cprime)
+            sizes = {"outer_steps": config.outer_steps, "the last inner budget": last.inner_steps}
+            if spec["name"] == "moles" and config.projection_mode == "budget":
+                sizes["outer_steps * fw_budget"] = config.outer_steps * last.fw_budget
+            options = {"config": config}
+        else:
+            if options["steps"] is None:
+                noise = math.sqrt(lipschitz ** 2 + sigma ** 2)
+                options["steps"] = math.ceil((2.0 * noise * diameter / eps) ** 2)
+            steps = options["steps"]
+            sizes = {"steps": steps}
+            if spec["name"] == "fw_pgd" and options["mode"] == "budget":
+                # fw_pgd's budget mode makes 28 steps + 1 LMO calls per step.
+                sizes["the LMO budget"] = min(steps * (28 * steps + 1),
+                                              options["max_lmo"] or math.inf)
+        for name, size in sizes.items():
+            if size > MAX_RUN_CALLS:
+                raise ValueError(f"{name} is {size:.3g}, above the cap of {MAX_RUN_CALLS:.0e}")
         return options
     except OverflowError:
         reason = "a derived size overflows"

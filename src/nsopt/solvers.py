@@ -236,11 +236,8 @@ def write_csv_rows(path, rows) -> None:
 @dataclass
 class SolverResult:
     x: np.ndarray
-    x_prime: np.ndarray | None
     trace: RunTrace
     counters: OracleCounters
-    x_best: np.ndarray | None = None
-    f_best: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +445,7 @@ def _moreau_splitting(problem, oracle, counters: OracleCounters, step,
         x_prime = (1.0 - gamma) * x_prime + gamma * z_prime_avg
         _trace_step(trace, k, counters, float(problem.value(x)), f_ref, t_start,
                     iterate_distance=float(np.linalg.norm(x - x_prime)))
-    return SolverResult(x=x, x_prime=x_prime, trace=trace, counters=counters)
+    return SolverResult(x=x, trace=trace, counters=counters)
 
 
 def mopes(problem, oracle, po: ProjectionOracle, config: SolverConfig, x0: np.ndarray,
@@ -506,8 +503,7 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
     ``x_{k+1} = P_X(x_k - alpha_k g_k)`` with ``alpha_k`` equal to
     ``D / (G sqrt(steps))`` (fixed) or ``D / (G sqrt(k))`` (diminishing).
     Consumes exactly ``steps`` subgradient and ``steps`` projection calls.
-    Returns the stepsize-weighted average iterate, with the best observed
-    iterate on the result as well.
+    Returns the stepsize-weighted average iterate.
 
     Trace rows carry the value of the running averaged iterate (the point
     the method's guarantee speaks about) in ``f_value``; the raw iterate
@@ -526,7 +522,6 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
     weighted = np.zeros_like(x)
     weight_sum = 0.0
     best_val = math.inf
-    best_x = x.copy()
     trace = RunTrace(f"pgd_{stepsize_rule}", seed)
     diminishing = stepsize_rule == "diminishing"
     alpha = set_diameter / (lipschitz * math.sqrt(steps))
@@ -540,15 +535,13 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
             value = float(problem.value(x))
         if value is not None and value < best_val:
             best_val = value
-            best_x = x.copy()
         weighted += alpha * x
         weight_sum += alpha
         x = project(x - alpha * grad)
         if traced:
             _trace_step(trace, k, counters, float(problem.value(weighted / weight_sum)),
                         f_ref, t_start, f_current=float(value), f_best=best_val)
-    return SolverResult(x=weighted / weight_sum, x_prime=None, trace=trace,
-                        counters=counters, x_best=best_x, f_best=best_val)
+    return SolverResult(x=weighted / weight_sum, trace=trace, counters=counters)
 
 
 def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps: int,
@@ -611,4 +604,4 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
                 break
         x = fw_quadratic_projection(x - alpha * grad, x, counted_lmo, budget, 1.0 / alpha,
                                     wolfe_tol)
-    return SolverResult(x=weighted / weight_sum, x_prime=None, trace=trace, counters=counters)
+    return SolverResult(x=weighted / weight_sum, trace=trace, counters=counters)

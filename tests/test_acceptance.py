@@ -348,6 +348,12 @@ def test_criterion_7_stochastic_runs(svm_bench):
     desc = "stochastic minibatch runs hit the target accuracy in the mean"
     with criterion(7, desc):
         problem, ball = svm_bench["problem"], svm_bench["ball"]
+        # the reference value is certified: one subgradient at x_ref brackets it
+        f_ref, x_ref = svm_bench["f_ref"], svm_bench["x_ref"]
+        value, g = problem.value_and_subgradient(x_ref)
+        lower = value - g @ x_ref - ball.radius * float(np.abs(g).max())
+        assert value == f_ref
+        assert abs(f_ref - lower) <= 1e-12 * max(1.0, abs(f_ref))
         lipschitz = problem.lipschitz_bound
         po = ProjectionOracle.from_set(ball)
         sfo = minibatch_sfo(problem, 4)

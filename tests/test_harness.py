@@ -11,12 +11,15 @@ import pytest
 from nsopt import (
     ConfigError,
     HingeSvmInstance,
+    MatrixSvmInstance,
     NumericalError,
     fit_slopes,
     l1_ball,
     load_config,
+    nuclear_ball,
     reference_optimum,
     run_experiment,
+    synth_hinge_data,
     synth_piecewise_linear,
 )
 from nsopt import cli, harness
@@ -136,6 +139,19 @@ class TestConfig:
             assert lipschitz > 0
 
 
+def counting(problem):
+    """``problem`` seen through a wrapper that counts its subgradient calls
+    in the returned one-element list."""
+    calls = [0]
+
+    def value_and_subgradient(x):
+        calls[0] += 1
+        return problem.value_and_subgradient(x)
+
+    return SimpleNamespace(value_and_subgradient=value_and_subgradient,
+                           lipschitz_bound=problem.lipschitz_bound), calls
+
+
 class TestReferenceOptimum:
     def test_budget_precondition(self):
         inst = synth_piecewise_linear(3, 4, 0)
@@ -147,11 +163,33 @@ class TestReferenceOptimum:
         anchor = gen.uniform(-0.2, 0.2, 4)
         inst = synth_piecewise_linear(4, 5, 2, anchor=anchor)
         ball = l1_ball(4, 1.0)
-        f1, x1 = reference_optimum(inst, ball, 10 ** 4)
+        counted, calls = counting(inst)
+        f1, x1 = reference_optimum(counted, ball, 10 ** 4)
         f2, _ = reference_optimum(inst, ball, 2 * 10 ** 4)
+        # The optimum is interior, so no one-point certificate closes the
+        # bracket and the solve spends its whole budget.
+        assert calls[0] == 10 ** 4
         assert f1 >= inst.min_value - 1e-12
         assert f2 <= f1  # longer run extends the same trajectory
         assert inst.value(x1) == f1
+
+    @pytest.mark.parametrize("problem, ball, dual_norm", [
+        (HingeSvmInstance(synth_hinge_data(200, 20, 123)), l1_ball(20, 1.0),
+         lambda g: np.abs(g).max()),
+        (MatrixSvmInstance(synth_hinge_data(30, 9, 1).reshape(30, 3, 3)), nuclear_ball(3, 3, 1.0),
+         lambda g: np.linalg.svd(g.reshape(3, 3), compute_uv=False)[0]),
+    ], ids=["hinge_l1", "matrix_nuclear"])
+    def test_certified_stop(self, problem, ball, dual_norm):
+        # Both optima are vertices of the ball, where one subgradient
+        # certifies the value, so the solve stops long before its budget.
+        budget = 10 ** 5
+        counted, calls = counting(problem)
+        f_star, x_star = reference_optimum(counted, ball, budget)
+        assert calls[0] <= budget // 10
+        value, g = problem.value_and_subgradient(x_star)
+        lower = value - g @ x_star - ball.radius * dual_norm(g)
+        assert value == f_star
+        assert abs(f_star - lower) <= 1e-12 * max(1.0, abs(f_star))
 
     @pytest.mark.slow
     def test_long_run_reaches_synthetic_minimum(self):
@@ -624,6 +662,7 @@ class TestCli:
         ({"epsilons": [1e-200], "solvers": [{"name": "fw_pgd"}]}, "fw_pgd_budget at eps=1e-200"),
         ({"epsilons": [1e-200], "solvers": [{"name": "pgd"}]}, "pgd_fixed at eps=1e-200"),
         ({"solvers": [{"name": "moles", "cprime": 1e-308}]}, "moles at eps=0.4"),
+        ({"solvers": [{"name": "moles", "c": 1e-300}]}, "moles at eps=0.4"),
     ], ids=["d", "set", "steps", "stepsize_rule", "projection_mode", "dist_estimate",
             "max_lmo", "second_solver", "duplicate_label", "unhashable_name",
             "bool_string", "bool_int", "add_bias_string", "int_fraction", "d_fraction",
@@ -636,7 +675,7 @@ class TestCli:
             "target_gap_infinite", "target_gap_string", "anchor_string", "anchor_bool",
             "anchor_length", "batch_size_not_finite_sum", "nuclear_ball_on_vector",
             "solvers_empty", "c_overflow", "fw_pgd_steps_overflow", "pgd_steps_overflow",
-            "fw_budget_overflow"])
+            "fw_budget_overflow", "inner_budget_huge"])
     def test_bad_value_fails_at_load(self, tmp_path, capsys, monkeypatch, overrides, named):
         def no_reference(*args, **kwargs):
             raise AssertionError("the reference solve ran before the config was checked")
