@@ -662,7 +662,7 @@ class TestCli:
         ({"epsilons": [1e-200], "solvers": [{"name": "fw_pgd"}]}, "fw_pgd_budget at eps=1e-200"),
         ({"epsilons": [1e-200], "solvers": [{"name": "pgd"}]}, "pgd_fixed at eps=1e-200"),
         ({"solvers": [{"name": "moles", "cprime": 1e-308}]}, "moles at eps=0.4"),
-        ({"solvers": [{"name": "moles", "c": 1e-300}]}, "moles at eps=0.4"),
+        ({"solvers": [{"name": "moles", "c": 1e-300}]}, "moles at eps=0.4: the last inner budget"),
     ], ids=["d", "set", "steps", "stepsize_rule", "projection_mode", "dist_estimate",
             "max_lmo", "second_solver", "duplicate_label", "unhashable_name",
             "bool_string", "bool_int", "add_bias_string", "int_fraction", "d_fraction",
