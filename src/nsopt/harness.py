@@ -12,6 +12,7 @@ and accuracy starts from the same point.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import operator
@@ -43,8 +44,8 @@ from .solvers import (
     RunTrace,
     SolverConfig,
     TraceRecord,
-    compute_schedule,
     fw_pgd,
+    fw_pgd_budget,
     moles,
     mopes,
     pgd,
@@ -310,18 +311,6 @@ def _run_seed(global_seed: int, solver_index: int, eps_index: int, rep: int) -> 
     return int(np.random.SeedSequence(parts).generate_state(1, dtype=np.uint64)[0])
 
 
-def _reads_neither_eps_nor_seed(spec: dict) -> bool:
-    """Whether ``_run_single`` gives the same records at every accuracy.
-
-    Eps reaches a run only through ``_solver_options``, and the run seed
-    only through the random stream of the minibatch SFO (a deterministic FO
-    never draws from it).  So a run that gives ``steps`` and no
-    ``batch_size`` differs across accuracies only in the seed that its
-    trace carries.
-    """
-    return spec.get("steps") is not None and spec["batch_size"] is None
-
-
 def _oracle(spec: dict, problem):
     """The subgradient oracle of a solver entry and its noise bound sigma:
     the minibatch SFO with ``batch_size``, else the deterministic FO."""
@@ -332,12 +321,14 @@ def _oracle(spec: dict, problem):
 
 
 def _solver_options(spec: dict, eps: float, lipschitz: float, diameter: float,
-                    sigma: float, seed: int = 0) -> dict:
-    """The keyword arguments that a run at ``eps`` passes to its solver.
+                    sigma: float) -> dict:
+    """The keyword arguments, all that eps decides, that a run at ``eps``
+    passes to its solver besides the run seed, start point and reference.
 
     A baseline (``pgd``, ``fw_pgd``) passes its own keys, with ``steps``
     derived as ``ceil((2 sqrt(G^2 + sigma^2) D / eps)^2)`` when the entry
-    gives none; ``mopes`` and ``moles`` pass the ``config`` that
+    gives none, plus ``lipschitz``, ``set_diameter`` and (``fw_pgd``)
+    ``sigma``; ``mopes`` and ``moles`` pass the seed-0 ``config`` that
     ``SolverConfig.from_target`` derives.  A derived size out of range is a
     ``ConfigError`` naming the solver and eps: one that overflows, or a step
     count, inner budget or total Frank-Wolfe budget above ``MAX_RUN_CALLS``.
@@ -346,9 +337,8 @@ def _solver_options(spec: dict, eps: float, lipschitz: float, diameter: float,
     try:
         if spec["name"] in ("mopes", "moles"):
             config = SolverConfig.from_target(eps, lipschitz, diameter, method=spec["name"],
-                                              sigma=sigma, seed=seed, **options)
-            last = compute_schedule(config.lam, config.outer_steps, config.outer_steps, 1,
-                                    lipschitz, sigma, diameter, config.d_tilde, config.cprime)
+                                              sigma=sigma, **options)
+            last = config.schedule(config.outer_steps)
             sizes = {"outer_steps": config.outer_steps, "the last inner budget": last.inner_steps}
             if spec["name"] == "moles" and config.projection_mode == "budget":
                 sizes["outer_steps * fw_budget"] = config.outer_steps * last.fw_budget
@@ -358,11 +348,13 @@ def _solver_options(spec: dict, eps: float, lipschitz: float, diameter: float,
                 noise = math.sqrt(lipschitz ** 2 + sigma ** 2)
                 options["steps"] = math.ceil((2.0 * noise * diameter / eps) ** 2)
             steps = options["steps"]
+            options |= {"lipschitz": lipschitz, "set_diameter": diameter}
             sizes = {"steps": steps}
-            if spec["name"] == "fw_pgd" and options["mode"] == "budget":
-                # fw_pgd's budget mode makes 28 steps + 1 LMO calls per step.
-                sizes["the LMO budget"] = min(steps * (28 * steps + 1),
-                                              options["max_lmo"] or math.inf)
+            if spec["name"] == "fw_pgd":
+                options["sigma"] = sigma
+                if options["mode"] == "budget":
+                    sizes["the LMO budget"] = min(steps * fw_pgd_budget(steps),
+                                                  options["max_lmo"] or math.inf)
         for name, size in sizes.items():
             if size > MAX_RUN_CALLS:
                 raise ValueError(f"{name} is {size:.3g}, above the cap of {MAX_RUN_CALLS:.0e}")
@@ -374,33 +366,23 @@ def _solver_options(spec: dict, eps: float, lipschitz: float, diameter: float,
     raise ConfigError(f"{_solver_label(spec)} at eps={eps!r}: {reason}")
 
 
-def _run_single(spec: dict, problem, descriptor: SetDescriptor, lipschitz: float,
-                eps: float, eps_index: int, solver_index: int, rep: int,
-                global_seed: int, f_ref: float):
-    """Execute one (solver, accuracy, repetition) run and return its trace.
-
-    ``spec`` is a solver entry read by ``SOLVER_KEYS``.
-    ``_reads_neither_eps_nor_seed`` must follow every use of ``eps`` and of
-    the run seed here.
-    """
+def _run_single(spec: dict, problem, descriptor: SetDescriptor, oracle, options: dict,
+                x0: np.ndarray, seed: int, f_ref: float):
+    """Run the solver of the entry ``spec`` with the ``_solver_options`` of
+    one accuracy and the subgradient ``oracle`` of ``_oracle``, from ``x0``
+    under run seed ``seed``, and return its result."""
     name = spec["name"]
-    run_seed = _run_seed(global_seed, solver_index, eps_index, rep)
-    # Starting points are shared across solvers and accuracies for a given
-    # repetition, mirroring mean-over-runs plots with common starts.
-    x0 = descriptor.boundary_point(_philox([global_seed, 1000003, rep]))
-    po = ProjectionOracle.from_set(descriptor)
-    lmo = LinearMinimizationOracle.from_set(descriptor)
-    oracle, sigma = _oracle(spec, problem)
-    options = _solver_options(spec, eps, lipschitz, descriptor.diameter, sigma, run_seed)
     if name == "pgd":
-        return pgd(problem, oracle, po, x0, lipschitz=lipschitz,
-                   set_diameter=descriptor.diameter, seed=run_seed, f_ref=f_ref, **options)
+        return pgd(problem, oracle, ProjectionOracle.from_set(descriptor), x0, seed=seed,
+                   f_ref=f_ref, **options)
     if name == "fw_pgd":
-        return fw_pgd(problem, oracle, lmo, x0, lipschitz=lipschitz, sigma=sigma,
-                      set_diameter=descriptor.diameter, seed=run_seed, f_ref=f_ref, **options)
+        return fw_pgd(problem, oracle, LinearMinimizationOracle.from_set(descriptor), x0,
+                      seed=seed, f_ref=f_ref, **options)
+    config = dataclasses.replace(options["config"], seed=seed)
     if name == "mopes":
-        return mopes(problem, oracle, po, x0=x0, f_ref=f_ref, **options)
-    return moles(problem, oracle, lmo, x0=x0, f_ref=f_ref, **options)
+        return mopes(problem, oracle, ProjectionOracle.from_set(descriptor), config, x0, f_ref)
+    return moles(problem, oracle, LinearMinimizationOracle.from_set(descriptor), config, x0,
+                 f_ref)
 
 
 _MEAN_COLUMNS = operator.attrgetter("fo_calls", "sfo_calls", "po_calls", "lmo_calls",
@@ -432,34 +414,40 @@ def run_experiment(config: ExperimentConfig) -> dict:
     failing with a numerical error is recorded and skipped; the remaining
     runs and the aggregate proceed untouched.
 
-    A run that reads neither eps nor its seed (``_reads_neither_eps_nor_seed``)
-    is computed once per repetition, at the first accuracy; every accuracy
-    then writes its records under that accuracy's run seed, which are the
-    bytes a run of its own would write.  Its failure fails it at every
-    accuracy, with the same message.
+    Each solver entry's oracle and its ``_solver_options`` at every accuracy
+    are derived once, before any file or solve.  A run without
+    ``batch_size`` draws nothing from its seed, so an accuracy whose options
+    equal the first accuracy's writes that accuracy's run of the repetition
+    under its own run seed: the bytes a run of its own would write.  A
+    failure of the shared run fails it at every such accuracy, with the
+    same message.
     """
     problem, descriptor, lipschitz = build_problem(config.problem)
-    for spec in config.solvers:  # every derived size is in range before any file or solve
-        _, sigma = _oracle(spec, problem)
-        for eps in config.epsilons:
-            _solver_options(spec, eps, lipschitz, descriptor.diameter, sigma)
+    plans = []
+    for spec in config.solvers:
+        oracle, sigma = _oracle(spec, problem)
+        plans.append((spec, oracle, [_solver_options(spec, eps, lipschitz, descriptor.diameter,
+                                                     sigma) for eps in config.epsilons]))
     out_dir = os.environ.get(OUTPUT_DIR_ENV, config.output_dir)
     os.makedirs(out_dir, exist_ok=True)
     f_ref, _ = reference_optimum(problem, descriptor, config.reference_budget)
+    starts = [descriptor.boundary_point(_philox([config.seed, 1000003, rep]))
+              for rep in range(config.repetitions)]
     manifest = {"reference_value": f_ref, "files": [], "runs": [], "failed": []}
     groups: dict[tuple[str, float], list[RunTrace]] = {}
-    for si, spec in enumerate(config.solvers):
+    for si, (spec, oracle, options) in enumerate(plans):
         label = _solver_label(spec)
-        shared = _reads_neither_eps_nor_seed(spec)
-        outcomes: dict[int, RunTrace | NumericalError] = {}  # per repetition, when shared
+        outcomes: dict[int, RunTrace | NumericalError] = {}  # per repetition, at the first eps
         for ei, eps in enumerate(config.epsilons):
+            shared = spec["batch_size"] is None and options[ei] == options[0]
             for rep in range(config.repetitions):
                 run_id = f"{label}_eps{eps:g}_rep{rep}"
-                outcome = outcomes.get(rep)
+                seed = _run_seed(config.seed, si, ei, rep)
+                outcome = outcomes.get(rep) if shared else None
                 if outcome is None:
                     try:
-                        outcome = _run_single(spec, problem, descriptor, lipschitz, eps,
-                                              ei, si, rep, config.seed, f_ref).trace
+                        outcome = _run_single(spec, problem, descriptor, oracle, options[ei],
+                                              starts[rep], seed, f_ref).trace
                     except NumericalError as exc:
                         outcome = exc
                     if shared:
@@ -468,8 +456,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                     manifest["failed"].append({"run": run_id, "error": str(outcome)})
                     manifest["runs"].append({"run": run_id, "status": "failed"})
                     continue
-                trace = RunTrace(outcome.algorithm, _run_seed(config.seed, si, ei, rep),
-                                 outcome.records)
+                trace = RunTrace(outcome.algorithm, seed, outcome.records)
                 path = os.path.join(out_dir, run_id + ".csv")
                 trace.write_csv(path, wall_clock=config.record_wall_time)
                 manifest["files"].append(path)

@@ -48,10 +48,15 @@ class FirstOrderOracle:
     bound on the norm of every returned subgradient.  ``evaluate`` is the
     given function itself, an instance attribute that would shadow a
     subclass method of that name.
+
+    ``sample(x, rng)`` returns the subgradient of ``evaluate(x)`` and draws
+    nothing, so the oracle also serves as a zero-variance stochastic one;
+    it calls ``evaluate_fn``, so a counted oracle counts it as an FO call.
     """
 
     def __init__(self, evaluate_fn, lipschitz_bound: float | None = None):
         self.evaluate = evaluate_fn
+        self.sample = lambda x, rng: evaluate_fn(x)[1]
         self.lipschitz_bound = lipschitz_bound
 
     @classmethod

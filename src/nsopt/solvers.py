@@ -84,14 +84,17 @@ class SolverConfig:
             raise ValueError(f"projection_mode must be one of {PROJECTION_MODES}")
         # The last outer step has the largest inner budget; it and the
         # Frank-Wolfe budget raise OverflowError here if they are infinite.
-        compute_schedule(self.lam, self.outer_steps, self.outer_steps, 1, self.lipschitz,
-                         self.sigma, self.set_diameter, self.d_tilde, self.cprime)
+        self.schedule(self.outer_steps)
+
+    def schedule(self, k: int) -> Schedule:
+        """The ``compute_schedule`` values of outer step ``k``."""
+        return compute_schedule(self.lam, self.outer_steps, k, 1, self.lipschitz, self.sigma,
+                                self.set_diameter, self.d_tilde, self.cprime)
 
     @property
     def fw_budget(self) -> int:
         """Fixed Frank-Wolfe budget per approximate projection."""
-        return compute_schedule(self.lam, self.outer_steps, 1, 1, self.lipschitz, self.sigma,
-                                self.set_diameter, self.d_tilde, self.cprime).fw_budget
+        return self.schedule(1).fw_budget
 
     @classmethod
     def from_target(cls, eps: float, lipschitz: float, set_diameter: float,
@@ -245,26 +248,12 @@ class SolverResult:
 # ---------------------------------------------------------------------------
 
 
-class _SubgradientSource:
-    """Subgradient queries on a counted deterministic or stochastic oracle.
-
-    ``sample(x, rng)`` returns a subgradient (estimate) and
-    ``sample_with_value(x, rng)`` the pair ``(f(x), g)``, with ``None`` in
-    place of the value for a stochastic oracle.  Both call the counting
-    closure directly, so a query costs one adapter call on top of it.
-    """
-
-    def __init__(self, oracle, counters: OracleCounters):
-        counted = wrap_counting(oracle, counters)
-        if isinstance(counted, StochasticFirstOrderOracle):
-            self.sample = sample = counted.sample
-            self.sample_with_value = lambda x, rng: (None, sample(x, rng))
-        elif isinstance(counted, FirstOrderOracle):
-            evaluate = counted.evaluate
-            self.sample = lambda x, rng: evaluate(x)[1]
-            self.sample_with_value = lambda x, rng: evaluate(x)
-        else:
-            raise TypeError("oracle must be a FirstOrderOracle or StochasticFirstOrderOracle")
+def _count_first_order(oracle, counters: OracleCounters):
+    """``wrap_counting`` of a solver's subgradient oracle, which must be a
+    first-order oracle, deterministic or stochastic: both have ``sample``."""
+    if not isinstance(oracle, (FirstOrderOracle, StochasticFirstOrderOracle)):
+        raise TypeError("oracle must be a FirstOrderOracle or StochasticFirstOrderOracle")
+    return wrap_counting(oracle, counters)
 
 
 def _check_start_point(x0: np.ndarray, set_oracle) -> np.ndarray:
@@ -317,10 +306,11 @@ def prox_slide(sfo, g: np.ndarray, u0: np.ndarray, beta: float, iterations: int,
     subgradient calls and no set-oracle calls.  Returns the last iterate
     and the average.
 
-    The iterate lives in two buffers that take turns at every step, so the
-    point handed to ``sfo.sample`` is overwritten by a later step: an
-    oracle that keeps a query point must copy it.  ``u0`` and ``g`` are
-    only read.
+    ``sfo`` is any oracle with ``sample(x, rng)``: a stochastic oracle, or a
+    ``FirstOrderOracle``, whose ``sample`` draws nothing.  The iterate lives
+    in two buffers that take turns at every step, so the point handed to
+    ``sfo.sample`` is overwritten by a later step: an oracle that keeps a
+    query point must copy it.  ``u0`` and ``g`` are only read.
     """
     if iterations < 1:
         raise ValueError("iteration budget must be a positive integer")
@@ -418,7 +408,7 @@ def _moreau_splitting(problem, oracle, counters: OracleCounters, step,
     unconstrained block resolves its prox subproblem with ``prox_slide``,
     which never touches the set.
     """
-    source = _SubgradientSource(oracle, counters)
+    sfo = _count_first_order(oracle, counters)
     rng = _philox(config.seed)
     lam = config.lam
     total = config.outer_steps
@@ -431,15 +421,14 @@ def _moreau_splitting(problem, oracle, counters: OracleCounters, step,
     trace = RunTrace(algorithm, config.seed)
     t_start = time.perf_counter()
     for k in range(1, total + 1):
-        sched = compute_schedule(lam, total, k, 1, config.lipschitz, config.sigma,
-                                 config.set_diameter, config.d_tilde, config.cprime)
+        sched = config.schedule(k)
         beta, gamma = sched.beta, sched.gamma
         y = (1.0 - gamma) * x + gamma * z
         y_prime = (1.0 - gamma) * x_prime + gamma * z_prime
         grad_x_block = (y - y_prime) / lam
         z = step(z - grad_x_block / beta, z, sched)
         grad_prime_block = (y_prime - y) / lam
-        z_prime, z_prime_avg = prox_slide(source, grad_prime_block, z_prime, beta,
+        z_prime, z_prime_avg = prox_slide(sfo, grad_prime_block, z_prime, beta,
                                           sched.inner_steps, config.domain_radius, rng)
         x = (1.0 - gamma) * x + gamma * z
         x_prime = (1.0 - gamma) * x_prime + gamma * z_prime_avg
@@ -515,7 +504,8 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
         raise ValueError(f"stepsize_rule must be one of {STEPSIZE_RULES}")
     x = _check_start_point(x0, po)
     counters = OracleCounters()
-    sample_with_value = _SubgradientSource(oracle, counters).sample_with_value
+    fo = _count_first_order(oracle, counters)
+    deterministic = isinstance(fo, FirstOrderOracle)
     project = wrap_counting(po, counters).project
     rng = _philox(seed)
 
@@ -530,7 +520,7 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
         if diminishing:
             alpha = set_diameter / (lipschitz * math.sqrt(k))
         traced = k % trace_every == 0 or k == steps
-        value, grad = sample_with_value(x, rng)
+        value, grad = fo.evaluate(x) if deterministic else (None, fo.sample(x, rng))
         if value is None and traced:
             value = float(problem.value(x))
         if value is not None and value < best_val:
@@ -544,6 +534,13 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
     return SolverResult(x=weighted / weight_sum, trace=trace, counters=counters)
 
 
+def fw_pgd_budget(steps: int) -> int:
+    """LMO calls per projection of a budget-mode ``fw_pgd`` run: the next
+    integer above ``7 D^2 / (alpha^2 (G^2 + sigma^2))``, which is exactly
+    ``28 * steps`` at its stepsize, computed without the float's rounding."""
+    return 28 * steps + 1
+
+
 def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps: int,
            lipschitz: float, sigma: float, set_diameter: float,
            mode: str = "budget", seed: int = 0,
@@ -553,9 +550,8 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
 
     Each step approximately projects ``x_k - alpha g_k`` back onto the set,
     to Wolfe-gap tolerance ``(G^2 + sigma^2) alpha`` (``mode="wolfe"``) or
-    with the fixed per-step budget ``7 D^2 / (alpha^2 (G^2 + sigma^2))``
-    LMO calls, rounded up to the next integer (``mode="budget"``; that is
-    ``28 * steps + 1`` calls per step).  The stepsize is
+    with the fixed per-step budget of ``fw_pgd_budget(steps)`` LMO calls
+    (``mode="budget"``).  The stepsize is
     ``alpha = D / (2 sqrt(G^2 + sigma^2) sqrt(steps))`` and the returned
     point is the average of the visited iterates.  Consumes exactly one
     subgradient call per step and ``steps - 1`` projections: the iterate
@@ -573,17 +569,14 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
         raise ValueError(f"mode must be one of {PROJECTION_MODES}")
     x = _check_start_point(x0, lmo)
     counters = OracleCounters()
-    source = _SubgradientSource(oracle, counters)
+    fo = _count_first_order(oracle, counters)
+    deterministic = isinstance(fo, FirstOrderOracle)
     counted_lmo = wrap_counting(lmo, counters)
     rng = _philox(seed)
 
     noise = lipschitz ** 2 + sigma ** 2
     alpha = set_diameter / (2.0 * math.sqrt(noise) * math.sqrt(steps))
-    # The stop of every projection: the next integer above the budget ratio
-    # (one extra step guards the boundary where the ratio is itself
-    # integral), or the Wolfe-gap tolerance.
-    budget = (math.floor(7.0 * set_diameter ** 2 / (alpha ** 2 * noise)) + 1
-              if mode == "budget" else None)
+    budget = fw_pgd_budget(steps) if mode == "budget" else None
     wolfe_tol = noise * alpha if mode == "wolfe" else None
 
     weighted = np.zeros_like(x)
@@ -591,7 +584,7 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
     trace = RunTrace(f"fw_pgd_{mode}", seed)
     t_start = time.perf_counter()
     for k in range(1, steps + 1):
-        value, grad = source.sample_with_value(x, rng)
+        value, grad = fo.evaluate(x) if deterministic else (None, fo.sample(x, rng))
         weighted += alpha * x
         weight_sum += alpha
         spent = max_lmo is not None and counters.lmo_calls >= max_lmo

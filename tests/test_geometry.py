@@ -246,6 +246,14 @@ class TestSetInvariants:
             assert descriptor.norm(y) == pytest.approx(descriptor.radius, rel=1e-9)
 
 
+@pytest.mark.parametrize("kind", SetDescriptor._KINDS)
+def test_boundary_points_are_members_at_every_radius(kind, rng):
+    shape = (3, 4) if kind == "nuclear_ball" else (10,)
+    for radius in 10.0 ** np.arange(-6, 10):
+        ball = SetDescriptor(kind, float(radius), shape)
+        assert all(ball.contains(ball.boundary_point(rng)) for _ in range(200)), radius
+
+
 def test_descriptor_validation():
     with pytest.raises(ValueError):
         SetDescriptor("box", 1.0, (3,))

@@ -348,8 +348,9 @@ class TestRunExperiment:
 
 
 class TestSharedRuns:
-    """A run that reads neither eps nor its seed runs once per repetition and
-    writes the bytes that a run of its own at each eps would write."""
+    """A run without a minibatch whose derived options are the same at every
+    eps runs once per repetition, and writes the bytes that a run of its own
+    at each eps would write."""
 
     SOLVERS = [{"name": "mopes", "dist_estimate": 1.0},
                {"name": "pgd", "steps": 30},
@@ -360,8 +361,8 @@ class TestSharedRuns:
                     "pgd_diminishing": 3}
 
     @staticmethod
-    def config(tmp_path, solvers):
-        return small_config(tmp_path, repetitions=2, epsilons=[2.0, 1.0, 0.5],
+    def config(tmp_path, solvers, epsilons=(2.0, 1.0, 0.5)):
+        return small_config(tmp_path, repetitions=2, epsilons=list(epsilons),
                             problem={"kind": "hinge_svm", "n": 20, "d": 4, "seed": 1,
                                      "set": "l1_ball", "radius": 1.0},
                             solvers=solvers)
@@ -371,9 +372,9 @@ class TestSharedRuns:
         calls = []
         run_single = harness._run_single
 
-        def counted(spec, *args):
+        def counted(spec, problem, descriptor, oracle, options, x0, seed, f_ref):
             calls.append(harness._solver_label(spec))
-            return run_single(spec, *args)
+            return run_single(spec, problem, descriptor, oracle, options, x0, seed, f_ref)
 
         monkeypatch.setattr(harness, "_run_single", counted)
         return calls
@@ -386,21 +387,30 @@ class TestSharedRuns:
         assert {label: calls.count(label) for label in set(calls)} == {
             label: 2 * runs for label, runs in self.RUNS_PER_REP.items()}
 
-    def test_every_csv_equals_its_own_run(self, tmp_path):
-        cfg = self.config(tmp_path, self.SOLVERS)
-        manifest = run_experiment(cfg)
+    @staticmethod
+    def assert_every_csv_is_its_own_run(cfg, manifest):
         problem, descriptor, lipschitz = build_problem(cfg.problem)
         files = iter(manifest["files"])
         for si, spec in enumerate(cfg.solvers):
+            oracle, sigma = harness._oracle(spec, problem)
             for ei, eps in enumerate(cfg.epsilons):
+                options = harness._solver_options(spec, eps, lipschitz, descriptor.diameter,
+                                                  sigma)
                 for rep in range(cfg.repetitions):
-                    alone = harness._run_single(spec, problem, descriptor, lipschitz, eps, ei,
-                                                si, rep, cfg.seed, manifest["reference_value"])
+                    x0 = descriptor.boundary_point(philox([cfg.seed, 1000003, rep]))
+                    alone = harness._run_single(spec, problem, descriptor, oracle, options, x0,
+                                                harness._run_seed(cfg.seed, si, ei, rep),
+                                                manifest["reference_value"])
                     expected = "".join(f"{row}\n" for row in [CSV_HEADER,
                                                                *alone.trace.csv_rows()])
                     path = Path(next(files))
                     assert path.name == f"{harness._solver_label(spec)}_eps{eps:g}_rep{rep}.csv"
                     assert path.read_text() == expected
+
+    def test_every_csv_equals_its_own_run(self, tmp_path):
+        cfg = self.config(tmp_path, self.SOLVERS)
+        manifest = run_experiment(cfg)
+        self.assert_every_csv_is_its_own_run(cfg, manifest)
         # the eps-free runs differ across accuracies only in their seed column
         texts = [(tmp_path / "out" / f"pgd_fixed_eps{eps:g}_rep0.csv").read_text()
                  for eps in cfg.epsilons]
@@ -436,6 +446,17 @@ class TestSharedRuns:
                 final = (tmp_path / "out" / f"pgd_fixed_eps{eps:g}_rep{rep}.csv").read_text()
                 k, fo_calls = final.splitlines()[-1].split(",")[1:3]
                 assert int(k) == int(fo_calls) == horizon
+
+    def test_equal_derived_options_share_a_run(self, tmp_path, monkeypatch):
+        calls = self.counting_runs(monkeypatch)
+        cfg = self.config(tmp_path, [{"name": "pgd"}], epsilons=(1.0, 1.02))
+        _, descriptor, lipschitz = build_problem(cfg.problem)
+        assert {math.ceil((2.0 * lipschitz * descriptor.diameter / eps) ** 2)
+                for eps in cfg.epsilons} == {13}
+        manifest = run_experiment(cfg)
+        assert manifest["failed"] == []
+        assert calls == ["pgd_fixed"] * 2  # once per repetition
+        self.assert_every_csv_is_its_own_run(cfg, manifest)
 
     def test_failure_of_a_shared_run_fails_every_eps(self, tmp_path, monkeypatch):
         calls = self.counting_runs(monkeypatch)
@@ -571,6 +592,16 @@ class TestCli:
         assert "lmo\tmopes\tmetric unused\n" in out
         assert "sfo\tmopes\tmetric unused\n" in out
         assert "never reached" not in out
+
+    def test_large_radius_runs(self, tmp_path, capsys):
+        # many boundary points of a ball of radius 1e8 miss an absolute 1e-8
+        # membership tolerance; each start point must pass the solvers' check
+        path = self.write_config(tmp_path, repetitions=3, epsilons=[4e8, 2e8, 1e8],
+                                 problem={"kind": "piecewise_linear", "d": 10, "radius": 1e8},
+                                 solvers=[{"name": "mopes"}, {"name": "pgd"}])
+        assert cli.main(["run", str(path)]) == 0
+        manifest = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert manifest["failed"] == [] and len(manifest["files"]) == 2 * 3 * 3 + 1
 
     @pytest.mark.parametrize("command", ["run", "sweep", "reference"])
     def test_anchored_problem_runs(self, tmp_path, capsys, command):

@@ -417,22 +417,33 @@ class TestMopes:
         for x in recorder.points:
             assert sd.membership_residual(x) <= 1e-8
 
-    @pytest.mark.parametrize("solver", ["mopes", "moles", "pgd", "fw_pgd"])
-    def test_rejects_infeasible_start(self, solver):
+    @staticmethod
+    def run_on_abs_problem(solver, x0, po_as_subgradient_oracle=False):
+        """Run ``solver`` on ``abs_problem`` from ``x0``, with the set's PO
+        in place of the FO if asked."""
         inst, fo, sd = abs_problem(0.6)
         po = ProjectionOracle.from_set(sd)
         lmo = LinearMinimizationOracle.from_set(sd)
-        x0 = np.array([2.0])
-        run = {
-            "mopes": lambda: mopes(inst, fo, po, SolverConfig.from_target(
+        oracle = po if po_as_subgradient_oracle else fo
+        x0 = np.array([x0])
+        return {
+            "mopes": lambda: mopes(inst, oracle, po, SolverConfig.from_target(
                 0.2, 1.0, sd.diameter, method="mopes"), x0),
-            "moles": lambda: moles(inst, fo, lmo, SolverConfig.from_target(
+            "moles": lambda: moles(inst, oracle, lmo, SolverConfig.from_target(
                 0.2, 1.0, sd.diameter, method="moles"), x0),
-            "pgd": lambda: pgd(inst, fo, po, x0, 10, 1.0, sd.diameter),
-            "fw_pgd": lambda: fw_pgd(inst, fo, lmo, x0, 10, 1.0, 0.0, sd.diameter),
-        }[solver]
+            "pgd": lambda: pgd(inst, oracle, po, x0, 10, 1.0, sd.diameter),
+            "fw_pgd": lambda: fw_pgd(inst, oracle, lmo, x0, 10, 1.0, 0.0, sd.diameter),
+        }[solver]()
+
+    @pytest.mark.parametrize("solver", ["mopes", "moles", "pgd", "fw_pgd"])
+    def test_rejects_infeasible_start(self, solver):
         with pytest.raises(ValueError, match="not in the constraint set"):
-            run()
+            self.run_on_abs_problem(solver, 2.0)
+
+    @pytest.mark.parametrize("solver", ["mopes", "moles", "pgd", "fw_pgd"])
+    def test_rejects_a_set_oracle_as_subgradient_oracle(self, solver):
+        with pytest.raises(TypeError, match="FirstOrderOracle"):
+            self.run_on_abs_problem(solver, 0.5, po_as_subgradient_oracle=True)
 
 
 class TestNonFiniteValues:
@@ -556,14 +567,15 @@ class TestFwPgd:
         # D = 2, G = 1, sigma = 0, K = 4 -> alpha = 0.5
         assert 2.0 / (2.0 * math.sqrt(1.0) * math.sqrt(4)) == 0.5
 
-    def test_exact_lmo_budget(self):
+    @pytest.mark.parametrize("steps", [3, 4, 6])
+    def test_exact_lmo_budget(self, steps):
         inst = AbsoluteValueInstance(np.array([0.0]))
         fo = FirstOrderOracle.from_instance(inst)
         lmo = LinearMinimizationOracle.from_set(l1_ball(1, 1.0))
-        res = fw_pgd(inst, fo, lmo, np.array([1.0]), 4, 1.0, 0.0, 2.0)
-        # three projections of 28 * 4 + 1 calls feed the returned average
-        assert res.counters.lmo_calls == 3 * 113
-        assert res.counters.fo_calls == 4
+        res = fw_pgd(inst, fo, lmo, np.array([1.0]), steps, 1.0, 0.0, 2.0)
+        # steps - 1 projections of 28 * steps + 1 calls feed the returned average
+        assert res.counters.lmo_calls == (steps - 1) * (28 * steps + 1)
+        assert res.counters.fo_calls == steps
 
     def test_invalid_arguments(self):
         inst, fo, sd = abs_problem(0.0)
