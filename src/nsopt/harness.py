@@ -189,24 +189,16 @@ CONFIG_KEYS = {
     "epsilons": (_list_of(_positive), _REQUIRED),
     "reference_budget": (_at_least(10 ** 4), 10 ** 5),
     "problem": (lambda v: _read("problem", v, PROBLEM_KEYS, "kind"), _REQUIRED),
-    "solvers": (lambda v: [_read("solver", s, SOLVER_KEYS, "name") for s in v], _REQUIRED),
+    "solvers": (_list_of(lambda s: _read("solver", s, SOLVER_KEYS, "name")), _REQUIRED),
     "record_wall_time": (_boolean, False),
 }
 
 
-@dataclass
-class ExperimentConfig:
-    """Validated experiment description: ``problem`` and each entry of
-    ``solvers`` hold every key of their ``PROBLEM_KEYS``/``SOLVER_KEYS`` table."""
+class ExperimentConfig(namedtuple("ExperimentConfig", CONFIG_KEYS)):
+    """Validated experiment description, one field per ``CONFIG_KEYS`` key: ``problem`` and
+    each entry of ``solvers`` hold every key of their ``PROBLEM_KEYS``/``SOLVER_KEYS`` table."""
 
-    seed: int
-    output_dir: str
-    repetitions: int
-    epsilons: list[float]
-    reference_budget: int
-    problem: dict
-    solvers: list[dict]
-    record_wall_time: bool
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -215,8 +207,11 @@ class ExperimentConfig:
             raise ConfigError("epsilons must be a nonempty list")
         if not cfg.solvers:
             raise ConfigError("solvers must be a nonempty list")
-        if len(set(cfg.epsilons)) != len(cfg.epsilons):
-            raise ConfigError("epsilons must be distinct")
+        names = [f"{eps:g}" for eps in cfg.epsilons]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ConfigError("epsilons must differ when written as {eps:g}, which names "
+                              f"their run files; repeated: {', '.join(repeated)}")
         kind, anchor = cfg.problem["kind"], cfg.problem.get("anchor")
         if anchor is not None and len(anchor) != cfg.problem["d"]:
             raise ConfigError(f"problem key 'anchor': has {len(anchor)} entries, "
@@ -233,10 +228,19 @@ class ExperimentConfig:
         return cfg
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``json.load``'s pairs hook: a key repeated in one object is a ``ConfigError``."""
+    keys = [key for key, _ in pairs]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise ConfigError(f"key(s) repeated in one JSON object: {', '.join(map(repr, repeated))}")
+    return dict(pairs)
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -550,13 +554,11 @@ def fit_slopes(traces: dict[str, dict[float, list]], metric: str) -> SlopeReport
     return report
 
 
-# The columns of an aggregate CSV row that slope fits read.
-_AggregateRow = namedtuple("_AggregateRow", "fo_calls sfo_calls po_calls lmo_calls gap")
 _CSV_FIELDS = CSV_HEADER.count(",") + 1
 
 
 def _parse_aggregate(path: str) -> dict[str, dict[float, list]]:
-    """Group aggregate CSV rows back into {solver: {eps: rows}}.
+    """Group aggregate CSV rows back into {solver: {eps: [TraceRecord]}}.
 
     Raises ``FormatError`` naming the path and line on a wrong header, a
     row with the wrong number of fields, a field that is not a number, or
@@ -568,7 +570,7 @@ def _parse_aggregate(path: str) -> dict[str, dict[float, list]]:
         if fh.readline().strip() != CSV_HEADER:
             raise FormatError(f"{path}: line 1: unexpected CSV header")
         for number, line in enumerate(fh, start=2):
-            parts = line.split(",")
+            parts = line.rstrip("\n").split(",")
             try:
                 if len(parts) != _CSV_FIELDS:
                     raise ValueError(f"expected {_CSV_FIELDS} fields, got {len(parts)}")
@@ -578,8 +580,8 @@ def _parse_aggregate(path: str) -> dict[str, dict[float, list]]:
                     if not marker:
                         raise ValueError(f"row tag {tag!r} lacks an accuracy marker")
                     rows = grouped.setdefault(label, {}).setdefault(float(eps_part), [])
-                rows.append(_AggregateRow(float(parts[2]), float(parts[3]), float(parts[4]),
-                                          float(parts[5]), float(parts[7])))
+                int(parts[-1])  # slope fits do not read the seed, but it must be one
+                rows.append(TraceRecord(*map(float, parts[1:-1])))
             except ValueError as exc:
                 raise FormatError(f"{path}: line {number}: {exc}") from None
     return grouped

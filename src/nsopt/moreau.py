@@ -21,12 +21,10 @@ from .oracles import FirstOrderOracle
 
 @dataclass
 class ProxResult:
-    """Approximate prox point, the envelope value there, and the inner
-    budget spent producing it."""
+    """Approximate prox point and the envelope value there."""
 
     point: np.ndarray
     value: float
-    iterations: int
 
 
 def prox_subgradient(fo: FirstOrderOracle, x: np.ndarray, lam: float,
@@ -70,5 +68,5 @@ def prox_subgradient(fo: FirstOrderOracle, x: np.ndarray, lam: float,
     fval, _ = fo.evaluate(averaged)
     diff = x - averaged
     envelope = float(fval + float(diff @ diff) / (2.0 * lam))
-    return ProxResult(point=averaged, value=envelope, iterations=iterations)
+    return ProxResult(point=averaged, value=envelope)
 

@@ -135,7 +135,6 @@ class Schedule(NamedTuple):
     beta: float
     gamma: float
     inner_steps: int
-    theta: float
     fw_budget: int
     wolfe_tol: float
 
@@ -147,9 +146,9 @@ def compute_schedule(lam: float, outer_steps: int, k: int, t: int,
 
     ``beta = 4 / (lam k)``, ``gamma = 2 / (k + 1)``,
     ``inner_steps = ceil((4 G^2 + sigma^2) lam^2 K k^2 / (2 d_tilde))``,
-    ``theta = 2 (t + 1) / (t (t + 3))``,
     ``fw_budget = ceil(7 K D^2 / (c' d_tilde))``, and
-    ``wolfe_tol = 4 c' d_tilde / (lam K k)``.
+    ``wolfe_tol = 4 c' d_tilde / (lam K k)``.  ``t`` is unused and only
+    range-checked, for compatibility; ``prox_slide`` computes ``theta_t``.
     """
     if lam <= 0 or k < 1 or t < 1 or outer_steps < 1:
         raise ValueError("lam must be positive and k, t, outer_steps at least 1")
@@ -159,10 +158,9 @@ def compute_schedule(lam: float, outer_steps: int, k: int, t: int,
     gamma = 2.0 / (k + 1)
     inner = math.ceil((4.0 * lipschitz ** 2 + sigma ** 2) * lam ** 2
                       * outer_steps * k ** 2 / (2.0 * d_tilde))
-    theta = 2.0 * (t + 1) / (t * (t + 3))
     fw_budget = math.ceil(7.0 * outer_steps * set_diameter ** 2 / (cprime * d_tilde))
     wolfe_tol = 4.0 * cprime * d_tilde / (lam * outer_steps * k)
-    return Schedule(beta, gamma, inner, theta, fw_budget, wolfe_tol)
+    return Schedule(beta, gamma, inner, fw_budget, wolfe_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +185,12 @@ class TraceRecord:
 
 @dataclass
 class RunTrace:
-    """Per-outer-iteration records of a single solver run."""
+    """Per-outer-iteration records of a single solver run, timed from ``started``."""
 
     algorithm: str
     seed: int
     records: list[TraceRecord] = field(default_factory=list)
+    started: float = field(default_factory=time.perf_counter, repr=False, compare=False)
 
     @property
     def final(self) -> TraceRecord:
@@ -266,21 +265,23 @@ def _check_start_point(x0: np.ndarray, set_oracle) -> np.ndarray:
     return x
 
 
-def _trace_step(trace: RunTrace, k: int, counters: OracleCounters, f_value: float,
-                f_ref: float | None, t_start: float, **extra) -> TraceRecord:
-    """Append the record of step ``k`` with the current oracle counts.
+def _trace_step(trace: RunTrace, k: int, counters: OracleCounters, problem,
+                point: np.ndarray, f_ref: float | None, **extra) -> TraceRecord:
+    """Append the record of step ``k``: the oracle counts, the uncounted
+    ``problem.value`` of ``point`` and the milliseconds since ``trace.started``.
 
     Raises ``NumericalError`` when the objective value or any extra
     measurement is not finite, so a diverging run fails loudly at the step
     where it diverged instead of writing NaN rows.
     """
+    f_value = float(problem.value(point))
     if not (math.isfinite(f_value) and all(map(math.isfinite, extra.values()))):
         values = ", ".join(f"{name} = {value!r}"
                            for name, value in (("f_value", f_value), *extra.items()))
         raise NumericalError(f"{trace.algorithm}: a value at step {k} is not finite ({values})")
     record = TraceRecord(k, *counters.as_tuple(), f_value,
                          f_value - f_ref if f_ref is not None else float("nan"),
-                         (time.perf_counter() - t_start) * 1e3, **extra)
+                         (time.perf_counter() - trace.started) * 1e3, **extra)
     trace.records.append(record)
     return record
 
@@ -419,7 +420,6 @@ def _moreau_splitting(problem, oracle, counters: OracleCounters, step,
     z_prime = x.copy()
 
     trace = RunTrace(algorithm, config.seed)
-    t_start = time.perf_counter()
     for k in range(1, total + 1):
         sched = config.schedule(k)
         beta, gamma = sched.beta, sched.gamma
@@ -432,7 +432,7 @@ def _moreau_splitting(problem, oracle, counters: OracleCounters, step,
                                           sched.inner_steps, config.domain_radius, rng)
         x = (1.0 - gamma) * x + gamma * z
         x_prime = (1.0 - gamma) * x_prime + gamma * z_prime_avg
-        _trace_step(trace, k, counters, float(problem.value(x)), f_ref, t_start,
+        _trace_step(trace, k, counters, problem, x, f_ref,
                     iterate_distance=float(np.linalg.norm(x - x_prime)))
     return SolverResult(x=x, trace=trace, counters=counters)
 
@@ -515,7 +515,6 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
     trace = RunTrace(f"pgd_{stepsize_rule}", seed)
     diminishing = stepsize_rule == "diminishing"
     alpha = set_diameter / (lipschitz * math.sqrt(steps))
-    t_start = time.perf_counter()
     for k in range(1, steps + 1):
         if diminishing:
             alpha = set_diameter / (lipschitz * math.sqrt(k))
@@ -529,8 +528,8 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
         weight_sum += alpha
         x = project(x - alpha * grad)
         if traced:
-            _trace_step(trace, k, counters, float(problem.value(weighted / weight_sum)),
-                        f_ref, t_start, f_current=float(value), f_best=best_val)
+            _trace_step(trace, k, counters, problem, weighted / weight_sum, f_ref,
+                        f_current=float(value), f_best=best_val)
     return SolverResult(x=weighted / weight_sum, trace=trace, counters=counters)
 
 
@@ -582,7 +581,6 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
     weighted = np.zeros_like(x)
     weight_sum = 0.0
     trace = RunTrace(f"fw_pgd_{mode}", seed)
-    t_start = time.perf_counter()
     for k in range(1, steps + 1):
         value, grad = fo.evaluate(x) if deterministic else (None, fo.sample(x, rng))
         weighted += alpha * x
@@ -591,8 +589,8 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
         if spent or k % trace_every == 0 or k == steps:
             if value is None:
                 value = problem.value(x)
-            record = _trace_step(trace, k, counters, float(problem.value(weighted / weight_sum)),
-                                 f_ref, t_start, f_current=float(value))
+            record = _trace_step(trace, k, counters, problem, weighted / weight_sum, f_ref,
+                                 f_current=float(value))
             if spent or k == steps or (target_gap is not None and record.gap <= target_gap):
                 break
         x = fw_quadratic_projection(x - alpha * grad, x, counted_lmo, budget, 1.0 / alpha,

@@ -694,6 +694,9 @@ class TestCli:
         ({"epsilons": [1e-200], "solvers": [{"name": "pgd"}]}, "pgd_fixed at eps=1e-200"),
         ({"solvers": [{"name": "moles", "cprime": 1e-308}]}, "moles at eps=0.4"),
         ({"solvers": [{"name": "moles", "c": 1e-300}]}, "moles at eps=0.4: the last inner budget"),
+        ({"epsilons": [1.0, 1.0 + 1e-12]}, "which names their run files; repeated: 1"),
+        ({"solvers": "mopes"}, "config key 'solvers': expected a list"),
+        ({"solvers": {"name": "mopes"}}, "config key 'solvers': expected a list"),
     ], ids=["d", "set", "steps", "stepsize_rule", "projection_mode", "dist_estimate",
             "max_lmo", "second_solver", "duplicate_label", "unhashable_name",
             "bool_string", "bool_int", "add_bias_string", "int_fraction", "d_fraction",
@@ -706,7 +709,8 @@ class TestCli:
             "target_gap_infinite", "target_gap_string", "anchor_string", "anchor_bool",
             "anchor_length", "batch_size_not_finite_sum", "nuclear_ball_on_vector",
             "solvers_empty", "c_overflow", "fw_pgd_steps_overflow", "pgd_steps_overflow",
-            "fw_budget_overflow", "inner_budget_huge"])
+            "fw_budget_overflow", "inner_budget_huge", "eps_file_names", "solvers_string",
+            "solvers_object"])
     def test_bad_value_fails_at_load(self, tmp_path, capsys, monkeypatch, overrides, named):
         def no_reference(*args, **kwargs):
             raise AssertionError("the reference solve ran before the config was checked")
@@ -718,6 +722,25 @@ class TestCli:
         assert err.startswith("error: config:") and named in err
         assert not (tmp_path / "cli_out").exists()
 
+    @pytest.mark.parametrize("old, new, key", [
+        ('"epsilons": [0.4, 0.2, 0.1]', '"epsilons": [0.4], "epsilons": [0.4, 0.2, 0.1]',
+         "epsilons"),
+        ('"d": 3', '"d": 3, "d": 4', "d"),
+        ('"name": "pgd"',
+         '"name": "pgd", "stepsize_rule": "diminishing", "stepsize_rule": "fixed"',
+         "stepsize_rule"),
+    ], ids=["top_level", "problem", "solver"])
+    def test_repeated_key_fails_at_load(self, tmp_path, capsys, old, new, key):
+        # json keeps the last value of a repeated key; the config would run on it
+        path = self.write_config(tmp_path, solvers=[{"name": "pgd"}])
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and repr(key) in err
+        assert not (tmp_path / "cli_out").exists()
+
     @pytest.mark.parametrize("content, message", [
         (CSV_HEADER + "\nmopes|eps=0.1,1,2\n", "line 2: expected 10 fields, got 3"),
         (CSV_HEADER + "\nmopes|eps=0.1,1,0,ten,1,0,0.5,0.1,0.0,1\n",
@@ -725,7 +748,16 @@ class TestCli:
         (CSV_HEADER + "\nmopes|eps=0.1,1,0,0,1,0,0.5,0.1,0.0,1\nmopes,2,0,0,2,0,0.4,0.0,0.0,1\n",
          "line 3: row tag 'mopes' lacks an accuracy marker"),
         ("algorithm,k\n", "line 1: unexpected CSV header"),
-    ], ids=["short_row", "non_numeric_count", "no_marker", "header"])
+        (CSV_HEADER + "\nmopes|eps=0.1,one,0,0,1,0,0.5,0.1,0.0,1\n",
+         "line 2: could not convert string to float: 'one'"),
+        (CSV_HEADER + "\nmopes|eps=0.1,1,0,0,1,0,high,0.1,0.0,1\n",
+         "line 2: could not convert string to float: 'high'"),
+        (CSV_HEADER + "\nmopes|eps=0.1,1,0,0,1,0,0.5,0.1,slow,1\n",
+         "line 2: could not convert string to float: 'slow'"),
+        (CSV_HEADER + "\nmopes|eps=0.1,1,0,0,1,0,0.5,0.1,0.0,seed\n",
+         "line 2: invalid literal for int() with base 10: 'seed'"),
+    ], ids=["short_row", "non_numeric_count", "no_marker", "header", "non_numeric_k",
+            "non_numeric_f_value", "non_numeric_wall_ms", "non_numeric_seed"])
     def test_malformed_aggregate_is_a_format_error(self, tmp_path, capsys, content, message):
         agg = tmp_path / "aggregate.csv"
         agg.write_text(content)
