@@ -18,6 +18,7 @@ import math
 import operator
 import os
 from collections import namedtuple
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -393,21 +394,33 @@ _MEAN_COLUMNS = operator.attrgetter("fo_calls", "sfo_calls", "po_calls", "lmo_ca
                                     "f_value", "gap")
 
 
-def _aggregate_rows(label: str, eps: float, traces: list[RunTrace], seed: int) -> list[str]:
-    """Mean across repetitions, aligned by row index and cut to the shortest
-    trace (an early-stopped ``fw_pgd`` run is shorter).
+def _aggregate_rows(groups: dict[tuple[str, float], list[list[TraceRecord]]],
+                    seed: int) -> Iterator[str]:
+    """Yield the aggregate CSV rows of ``groups``, which maps each ``(label, eps)``
+    to the records of its repetitions: per group, the mean across
+    repetitions, aligned by row index and cut to the shortest run (an
+    early-stopped ``fw_pgd`` run is shorter), tagged ``label|eps=``.
 
     The values form one C-contiguous ``(rows, columns, repetitions)`` array,
     so ``mean(axis=-1)`` sums each row's repetitions with the same pairwise
     summation as ``np.mean`` of their list, bit for bit; a reduction over a
-    leading axis would add them in another order.
+    leading axis would add them in another order.  A group of the same
+    record lists as an earlier group (a run shared across accuracies) takes
+    that group's means, formatted once, under its own tag.  Rows are
+    yielded group by group, so that all of them are never held at once.
     """
-    rows = min(len(t.records) for t in traces)
-    values = np.stack([np.array(list(map(_MEAN_COLUMNS, t.records[:rows])), dtype=float)
-                       for t in traces], axis=-1)
-    records = [TraceRecord(r.k, *means, wall_ms=0.0)
-               for r, means in zip(traces[0].records, values.mean(axis=-1).tolist())]
-    return RunTrace(f"{label}|eps={eps!r}", seed, records).csv_rows()
+    means: dict[tuple[int, ...], RunTrace] = {}  # by the identities of the lists averaged
+    for (label, eps), runs in groups.items():
+        mean = means.get(key := tuple(map(id, runs)))
+        if mean is None:
+            length = min(map(len, runs))
+            values = np.stack([np.array(list(map(_MEAN_COLUMNS, records[:length])), dtype=float)
+                               for records in runs], axis=-1)
+            mean = means[key] = RunTrace("", seed, [
+                TraceRecord(r.k, *row, wall_ms=0.0)
+                for r, row in zip(runs[0], values.mean(axis=-1).tolist())])
+        mean.algorithm = f"{label}|eps={eps!r}"
+        yield from mean.csv_rows()
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -422,9 +435,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     are derived once, before any file or solve.  A run without
     ``batch_size`` draws nothing from its seed, so an accuracy whose options
     equal the first accuracy's writes that accuracy's run of the repetition
-    under its own run seed: the bytes a run of its own would write.  A
-    failure of the shared run fails it at every such accuracy, with the
-    same message.
+    under its own run seed: the bytes a run of its own would write, from
+    rows formatted once.  A failure of the shared run fails it at every such
+    accuracy, with the same message.
     """
     problem, descriptor, lipschitz = build_problem(config.problem)
     plans = []
@@ -438,7 +451,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     starts = [descriptor.boundary_point(_philox([config.seed, 1000003, rep]))
               for rep in range(config.repetitions)]
     manifest = {"reference_value": f_ref, "files": [], "runs": [], "failed": []}
-    groups: dict[tuple[str, float], list[RunTrace]] = {}
+    groups: dict[tuple[str, float], list[list[TraceRecord]]] = {}
     for si, (spec, oracle, options) in enumerate(plans):
         label = _solver_label(spec)
         outcomes: dict[int, RunTrace | NumericalError] = {}  # per repetition, at the first eps
@@ -460,15 +473,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
                     manifest["failed"].append({"run": run_id, "error": str(outcome)})
                     manifest["runs"].append({"run": run_id, "status": "failed"})
                     continue
-                trace = RunTrace(outcome.algorithm, seed, outcome.records)
+                outcome.seed = seed
                 path = os.path.join(out_dir, run_id + ".csv")
-                trace.write_csv(path, wall_clock=config.record_wall_time)
+                outcome.write_csv(path, wall_clock=config.record_wall_time)
                 manifest["files"].append(path)
                 manifest["runs"].append({"run": run_id, "status": "ok"})
-                groups.setdefault((label, eps), []).append(trace)
+                groups.setdefault((label, eps), []).append(outcome.records)
     agg_path = os.path.join(out_dir, "aggregate.csv")
-    write_csv_rows(agg_path, [row for (label, eps), traces in groups.items()
-                              for row in _aggregate_rows(label, eps, traces, config.seed)])
+    write_csv_rows(agg_path, _aggregate_rows(groups, config.seed))
     manifest["files"].append(agg_path)
     return manifest
 
@@ -555,16 +567,39 @@ def fit_slopes(traces: dict[str, dict[float, list]], metric: str) -> SlopeReport
 
 
 _CSV_FIELDS = CSV_HEADER.count(",") + 1
+_NUMERIC_FIELDS = CSV_HEADER.split(",")[1:-1]  # read back as the floats of a TraceRecord
+# Only the objective value and the gap may be negative: the rest are a step, counts and a time.
+_NONNEGATIVE = np.array([name not in ("f_value", "gap") for name in _NUMERIC_FIELDS])
+# Rows whose numbers are checked at once: a 64 KB array, so that no large
+# block is allocated and freed, which would raise the process's peak RSS.
+_CHECKED_ROWS = 1024
+
+
+def _check_numbers(path: str, numbers: list[float], first_line: int) -> None:
+    """Raise ``FormatError`` naming the first line with a NaN or infinite
+    field, or a negative step, count or wall time, in one pass over
+    ``numbers``: the numeric fields of consecutive rows from ``first_line``."""
+    values = np.fromiter(numbers, float, len(numbers)).reshape(-1, len(_NUMERIC_FIELDS))
+    wrong = ~np.isfinite(values) | (values < 0.0) & _NONNEGATIVE
+    if wrong.any():
+        row, column = np.argwhere(wrong)[0]
+        value = float(values[row, column])
+        reason = "negative" if math.isfinite(value) else "not finite"
+        raise FormatError(f"{path}: line {first_line + row}: {_NUMERIC_FIELDS[column]} "
+                          f"{value!r} is {reason}")
 
 
 def _parse_aggregate(path: str) -> dict[str, dict[float, list]]:
     """Group aggregate CSV rows back into {solver: {eps: [TraceRecord]}}.
 
     Raises ``FormatError`` naming the path and line on a wrong header, a
-    row with the wrong number of fields, a field that is not a number, or
-    a row tag without an ``|eps=`` accuracy marker.
+    row with the wrong number of fields, a field that is not a number, a
+    NaN or infinite field, a negative step, count or wall time, or a row
+    tag without an ``|eps=`` accuracy marker.
     """
     grouped: dict[str, dict[float, list]] = {}
+    numbers: list[float] = []  # the numeric fields of the rows from line ``first``
+    first = 2
     tag = rows = None
     with open(path) as fh:
         if fh.readline().strip() != CSV_HEADER:
@@ -581,9 +616,15 @@ def _parse_aggregate(path: str) -> dict[str, dict[float, list]]:
                         raise ValueError(f"row tag {tag!r} lacks an accuracy marker")
                     rows = grouped.setdefault(label, {}).setdefault(float(eps_part), [])
                 int(parts[-1])  # slope fits do not read the seed, but it must be one
-                rows.append(TraceRecord(*map(float, parts[1:-1])))
+                fields = [*map(float, parts[1:-1])]
             except ValueError as exc:
                 raise FormatError(f"{path}: line {number}: {exc}") from None
+            rows.append(TraceRecord(*fields))
+            numbers += fields
+            if number - first + 1 == _CHECKED_ROWS:
+                _check_numbers(path, numbers, first)
+                numbers, first = [], number + 1
+    _check_numbers(path, numbers, first)
     return grouped
 
 

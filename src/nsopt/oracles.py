@@ -8,9 +8,13 @@ is its function, under the one name it is called by, plus its bound or its
 set.  ``wrap_counting`` is the one place where calls are tallied; it never
 alters results, so oracle-call complexity can be measured exactly.
 
-Oracle objects are immutable after construction and safe to share across
-concurrent reads; counters and random streams are per-run mutable state
-and must stay confined to one run at a time.
+Oracle objects are immutable after construction, except that a minibatch
+SFO draws its indices ahead in blocks.  Counters, random streams and that
+lookahead are per-run mutable state and must stay confined to one run at a
+time: while an oracle samples from a generator, draw from that generator
+only through that oracle, which can leave it up to one block ahead.  A
+minibatch SFO handed another generator rewinds the one it leaves to where
+per-call draws would have left it.
 """
 
 from __future__ import annotations
@@ -155,6 +159,10 @@ def wrap_counting(oracle, counters: OracleCounters):
     raise TypeError(f"cannot wrap object of type {type(oracle).__name__}")
 
 
+# Indices one minibatch oracle draws per block: at most 32 KB of int64.
+_BLOCK_INDICES = 4096
+
+
 def minibatch_sfo(problem, batch_size: int, rng=None) -> StochasticFirstOrderOracle:
     """Minibatch stochastic subgradient oracle for a finite-sum objective.
 
@@ -167,6 +175,17 @@ def minibatch_sfo(problem, batch_size: int, rng=None) -> StochasticFirstOrderOra
     ``max_i ||g_i||^2 / batch_size``, certified since every component
     subgradient norm is bounded by the problem's per-term norm bound.
     ``rng`` is accepted for compatibility only and is not used.
+
+    ``sample`` serves its batches from one ``gen.integers(0, n, size=(B,
+    batch_size))`` draw of ``B = max(1, 4096 // batch_size)`` batches.
+    numpy's bounded integers read the bit generator's stream continuously
+    across calls, so the block's rows are the batches that ``B`` calls of
+    size ``batch_size`` would draw, and leave the generator in the same
+    state.  Until the block is used up, the generator is ahead of the
+    batches served: draw from it only through this oracle.  Handed another
+    generator part-way through a block, ``sample`` restores the one it
+    leaves to its state before the block and redraws the batches served,
+    so that generator ends where per-call draws would have left it.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be a positive integer")
@@ -180,9 +199,25 @@ def minibatch_sfo(problem, batch_size: int, rng=None) -> StochasticFirstOrderOra
 
         return StochasticFirstOrderOracle(sample, variance_bound=0.0)
 
+    per_block = max(1, _BLOCK_INDICES // batch_size)
+    # The generator the block came from, its state before the block, the
+    # block, and how many of its batches have been served.
+    owner = saved = block = None
+    served = per_block
+
     def sample(x, gen):
-        idx = gen.integers(0, n, size=batch_size)
-        return problem.batch_subgradient(x, idx)
+        nonlocal owner, saved, block, served
+        if gen is not owner:
+            if served < per_block:
+                owner.bit_generator.state = saved
+                owner.integers(0, n, size=(served, batch_size))
+            owner, served = gen, per_block
+        if served == per_block:
+            saved = gen.bit_generator.state
+            block = gen.integers(0, n, size=(per_block, batch_size))
+            served = 0
+        served += 1
+        return problem.batch_subgradient(x, block[served - 1])
 
     bound = float(problem.term_norm_bound()) ** 2 / batch_size
     return StochasticFirstOrderOracle(sample, variance_bound=bound)

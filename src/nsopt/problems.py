@@ -126,8 +126,11 @@ class HingeSvmInstance:
 
     def batch_subgradient(self, x: np.ndarray, indices: np.ndarray) -> np.ndarray:
         rows = self.rows[indices]
-        active = ((1.0 - rows @ x) > 0.0).astype(float)
-        return -(active @ rows) / len(indices)
+        # m < 1 is 1 - m > 0 for every double, NaN included, and dividing by
+        # -len in place equals negating first: IEEE rounding is sign-symmetric.
+        grad = (rows @ x < 1.0).astype(float) @ rows
+        grad /= -len(indices)
+        return grad
 
 
 class MatrixSvmInstance(HingeSvmInstance):

@@ -185,12 +185,18 @@ class TraceRecord:
 
 @dataclass
 class RunTrace:
-    """Per-outer-iteration records of a single solver run, timed from ``started``."""
+    """Per-outer-iteration records of a single solver run, timed from ``started``.
+
+    A record is never changed once it is in ``records``; the list itself may
+    grow or be replaced.
+    """
 
     algorithm: str
     seed: int
     records: list[TraceRecord] = field(default_factory=list)
     started: float = field(default_factory=time.perf_counter, repr=False, compare=False)
+    # (wall_clock, the records formatted, their fields between algorithm and seed)
+    _formatted: tuple = field(default=(None, [], []), init=False, repr=False, compare=False)
 
     @property
     def final(self) -> TraceRecord:
@@ -201,16 +207,20 @@ class RunTrace:
 
         ``wall_ms`` is written as 0.0 unless ``wall_clock`` is set, keeping
         output bytes deterministic per configuration; measured times stay
-        available on the in-memory records.
+        available on the in-memory records.  The fields between the
+        algorithm and the seed are formatted once per list of records, so a
+        trace written again under another seed or algorithm only joins them.
         """
-        rows = []
-        for r in self.records:
-            wall = r.wall_ms if wall_clock else 0.0
-            rows.append(
-                f"{self.algorithm},{r.k},{r.fo_calls},{r.sfo_calls},{r.po_calls},"
-                f"{r.lmo_calls},{float(r.f_value)!r},{float(r.gap)!r},{float(wall)!r},{self.seed}"
-            )
-        return rows
+        formatted_clock, formatted, bodies = self._formatted
+        if formatted_clock != wall_clock or formatted != self.records:
+            formatted = list(self.records)
+            bodies = [f",{r.k},{r.fo_calls},{r.sfo_calls},{r.po_calls},{r.lmo_calls},"
+                       f"{float(r.f_value)!r},{float(r.gap)!r},"
+                       f"{float(r.wall_ms if wall_clock else 0.0)!r},"
+                       for r in formatted]
+            self._formatted = (wall_clock, formatted, bodies)
+        algorithm, seed = self.algorithm, self.seed
+        return [f"{algorithm}{body}{seed}" for body in bodies]
 
     def write_csv(self, path, wall_clock: bool = False) -> None:
         write_csv_rows(path, self.csv_rows(wall_clock=wall_clock))

@@ -262,7 +262,8 @@ class TestRunExperiment:
                                           for name in columns), wall_ms=0.0)
                  for recs in zip(*(t.records for t in traces))]
         expected = RunTrace("solver|eps=0.25", 7, means).csv_rows()
-        assert harness._aggregate_rows("solver", 0.25, traces, 7) == expected
+        runs = [t.records for t in traces]
+        assert list(harness._aggregate_rows({("solver", 0.25): runs}, 7)) == expected
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         override = tmp_path / "elsewhere"
@@ -389,8 +390,10 @@ class TestSharedRuns:
 
     @staticmethod
     def assert_every_csv_is_its_own_run(cfg, manifest):
+        """Returns the runs made alone, as ``{(label, eps): [records per repetition]}``."""
         problem, descriptor, lipschitz = build_problem(cfg.problem)
         files = iter(manifest["files"])
+        alone_runs = {}
         for si, spec in enumerate(cfg.solvers):
             oracle, sigma = harness._oracle(spec, problem)
             for ei, eps in enumerate(cfg.epsilons):
@@ -406,6 +409,9 @@ class TestSharedRuns:
                     path = Path(next(files))
                     assert path.name == f"{harness._solver_label(spec)}_eps{eps:g}_rep{rep}.csv"
                     assert path.read_text() == expected
+                    alone_runs.setdefault((harness._solver_label(spec), eps), []).append(
+                        alone.trace.records)
+        return alone_runs
 
     def test_every_csv_equals_its_own_run(self, tmp_path):
         cfg = self.config(tmp_path, self.SOLVERS)
@@ -417,6 +423,18 @@ class TestSharedRuns:
         assert len({tuple(row.rsplit(",", 1)[0] for row in text.splitlines())
                     for text in texts}) == 1
         assert len(set(texts)) == 3
+
+    def test_aggregate_equals_each_group_aggregated_alone(self, tmp_path):
+        # The shared pgd run is averaged and formatted once for all three eps.
+        cfg = self.config(tmp_path, [{"name": "pgd", "steps": 30},
+                                     {"name": "mopes", "batch_size": 2, "dist_estimate": 0.5}])
+        manifest = run_experiment(cfg)
+        assert manifest["failed"] == []
+        alone_runs = self.assert_every_csv_is_its_own_run(cfg, manifest)
+        expected = [CSV_HEADER] + [row for group, runs in alone_runs.items()
+                                   for row in harness._aggregate_rows({group: runs}, cfg.seed)]
+        assert Path(manifest["files"][-1]).read_text().splitlines() == expected
+        assert {label for label, _ in alone_runs} == {"pgd_fixed", "mopes"}
 
     def test_algorithm_column_is_the_file_label(self, tmp_path):
         solvers = [*self.SOLVERS, {"name": "moles", "dist_estimate": 1.0},
@@ -756,8 +774,23 @@ class TestCli:
          "line 2: could not convert string to float: 'slow'"),
         (CSV_HEADER + "\nmopes|eps=0.1,1,0,0,1,0,0.5,0.1,0.0,seed\n",
          "line 2: invalid literal for int() with base 10: 'seed'"),
+        (CSV_HEADER + "\nmopes|eps=0.1,1,0,0,1,0,0.5,0.2,0.0,1"
+                      "\nmopes|eps=0.1,2,0,0,inf,0,0.4,0.05,0.0,1\n",
+         "line 3: po_calls inf is not finite"),
+        (CSV_HEADER + "\nmopes|eps=0.1,1,0,0,1,0,0.5,0.2,0.0,1"
+                      "\nmopes|eps=0.1,2,0,0,nan,0,0.4,0.05,0.0,1\n",
+         "line 3: po_calls nan is not finite"),
+        (CSV_HEADER + "\nmopes|eps=0.1,1,0,0,1,0,0.5,0.2,0.0,1"
+                      "\nmopes|eps=0.1,2,0,0,2,0,0.4,nan,0.0,1\n",
+         "line 3: gap nan is not finite"),
+        (CSV_HEADER + "\nmopes|eps=0.1,1,0,0,1,0,0.5,0.2,0.0,1"
+                      "\nmopes|eps=0.1,2,0,0,-5,0,0.4,0.05,0.0,1\n",
+         "line 3: po_calls -5.0 is negative"),
+        (CSV_HEADER + "\nmopes|eps=0.1,1,0,0,1,0,0.5,0.2,0.0,1" * 2098
+         + "\nmopes|eps=0.1,2,0,0,2,0,0.4,0.05,-0.5,1\n", "line 2100: wall_ms -0.5 is negative"),
     ], ids=["short_row", "non_numeric_count", "no_marker", "header", "non_numeric_k",
-            "non_numeric_f_value", "non_numeric_wall_ms", "non_numeric_seed"])
+            "non_numeric_f_value", "non_numeric_wall_ms", "non_numeric_seed", "infinite_count",
+            "nan_count", "nan_gap", "negative_count", "negative_wall_ms_after_many_rows"])
     def test_malformed_aggregate_is_a_format_error(self, tmp_path, capsys, content, message):
         agg = tmp_path / "aggregate.csv"
         agg.write_text(content)

@@ -18,6 +18,7 @@ from nsopt import (
     synth_piecewise_linear,
     wrap_counting,
 )
+from nsopt.oracles import _BLOCK_INDICES
 from conftest import philox
 
 
@@ -165,6 +166,58 @@ def test_estimate_variance_two_point_closed_form():
     expected = float(((g1 - g2) ** 2).sum()) / 4.0
     measured = estimate_variance(minibatch_sfo(svm, 1), x, 10 ** 4, philox(3))
     assert abs(measured - expected) <= 0.1 * expected
+
+
+def stream_state(gen):
+    return repr(gen.bit_generator.state)
+
+
+@pytest.mark.parametrize("n", [7, 200, 2 ** 31 + 1])
+@pytest.mark.parametrize("batch", [1, 3, 4])
+def test_one_block_draw_is_successive_batch_draws(n, batch):
+    # The numpy property behind minibatch_sfo's block draws: bounded
+    # integers read the bit generator's 32-bit stream continuously across
+    # calls, rejections and Philox's spare half-word included.
+    per_block = _BLOCK_INDICES // batch
+    at_once, one_by_one = philox([n, batch]), philox([n, batch])
+    at_once.integers(0, n, size=1)  # start off a half-word boundary
+    one_by_one.integers(0, n, size=1)
+    block = at_once.integers(0, n, size=(per_block, batch))
+    batches = np.stack([one_by_one.integers(0, n, size=batch) for _ in range(per_block)])
+    assert np.array_equal(block, batches)
+    assert stream_state(at_once) == stream_state(one_by_one)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 4])
+def test_minibatch_sample_is_a_per_call_draw_bit_for_bit(batch):
+    svm = HingeSvmInstance(synth_hinge_data(50, 5, 4))
+    sfo = minibatch_sfo(svm, batch)
+    drawn, reference = philox(batch), philox(batch)
+    points = philox(100 + batch).standard_normal((7, 5))
+    for step in range(5 * (_BLOCK_INDICES // batch) // 2):  # 2.5 blocks
+        x = points[step % 7]
+        expected = svm.batch_subgradient(x, reference.integers(0, 50, size=batch))
+        assert sfo.sample(x, drawn).tobytes() == expected.tobytes()
+
+
+def test_interleaved_generators_each_get_their_per_call_stream():
+    svm = HingeSvmInstance(synth_hinge_data(30, 4, 2))
+    batch = 7
+    sfo = minibatch_sfo(svm, batch)
+    x = philox(5).standard_normal(4)
+    drawn = [philox(10), philox(11)]
+    reference = [philox(10), philox(11)]
+    lengths = philox(12).integers(1, 3 * _BLOCK_INDICES // batch, size=12)
+    for turn, length in enumerate(lengths):
+        which = turn % 2
+        for _ in range(length):
+            expected = svm.batch_subgradient(x, reference[which].integers(0, 30, size=batch))
+            assert sfo.sample(x, drawn[which]).tobytes() == expected.tobytes()
+        if turn:
+            # the generator switched away from is where per-call draws left it
+            assert stream_state(drawn[1 - which]) == stream_state(reference[1 - which])
+    sfo.sample(x, philox(13))
+    assert [stream_state(g) for g in drawn] == [stream_state(g) for g in reference]
 
 
 def test_invalid_arguments():

@@ -54,6 +54,22 @@ class TestHinge:
             assert inst.value(x) == expected and value == expected
             assert grad.tobytes() == expected_grad.tobytes()
 
+    def test_batch_subgradient_equals_the_masked_mean_bitwise(self):
+        gen = philox(31)
+        rows = gen.standard_normal((40, 6))
+        rows[:10, 0] = 1.0
+        rows[:5, 1:] = 0.0
+        e1 = np.eye(6)[0]
+        assert np.all(rows[:10] @ e1 == 1.0)  # margin exactly 1: inactive by the tie rule
+        inst = HingeSvmInstance(rows)
+        points = [e1, np.full(6, np.nan), np.array([np.nan, *np.zeros(5)])]
+        points += [gen.standard_normal(6) * scale for scale in (0.01, 0.3, 1.0, 3.0)]
+        for x in points:
+            for idx in [np.arange(10), *(gen.integers(0, 40, size=b) for b in (1, 3, 4, 40))]:
+                sub = rows[idx]
+                expected = -(((1.0 - sub @ x) > 0.0).astype(float) @ sub) / len(idx)
+                assert inst.batch_subgradient(x, idx).tobytes() == expected.tobytes()
+
 
 class TestMatrixHinge:
     def test_zero_matrix_unit_loss(self):

@@ -31,7 +31,7 @@ from nsopt import (
     synth_piecewise_linear,
     wrap_counting,
 )
-from nsopt.solvers import CSV_HEADER
+from nsopt.solvers import CSV_HEADER, RunTrace, TraceRecord
 from conftest import philox
 
 
@@ -703,6 +703,29 @@ class TestDeterminismAndTraces:
             assert float(fields[8]) == 0.0  # deterministic placeholder
         timed = res.trace.csv_rows(wall_clock=True)
         assert any(float(row.split(",")[8]) > 0.0 for row in timed)
+
+    def test_csv_rows_follow_every_change_to_the_trace(self):
+        # Rows are formatted once per list of records; a later change to the
+        # trace must never be served stale rows.
+        def record(k, scale=1.0):
+            return TraceRecord(k, k, 2 * k, k, 0, scale / k, scale / (3 * k), 0.25 * k)
+
+        trace = RunTrace("mopes", 3, [record(k) for k in range(1, 6)])
+
+        def fresh(wall_clock=False):
+            return RunTrace(trace.algorithm, trace.seed, list(trace.records)).csv_rows(wall_clock)
+
+        assert trace.csv_rows() == fresh()
+        trace.seed, trace.algorithm = 9, "pgd_fixed|eps=0.5"
+        assert trace.csv_rows() == fresh()
+        assert trace.csv_rows(wall_clock=True) == fresh(wall_clock=True) != fresh()
+        assert trace.csv_rows() == fresh()
+        trace.records.append(record(6))
+        assert trace.csv_rows() == fresh() and len(fresh()) == 6
+        trace.records[2] = record(3, scale=2.0)
+        assert trace.csv_rows() == fresh()
+        trace.records = trace.records[:2]
+        assert trace.csv_rows() == fresh() and len(fresh()) == 2
 
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         inst, fo, sd = abs_problem(0.6)
