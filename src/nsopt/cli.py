@@ -79,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
             problem, descriptor, _ = build_problem(cfg.problem)
             f_star, x_star = reference_optimum(problem, descriptor, cfg.reference_budget)
             print(json.dumps({"reference_value": f_star,
-                              "certificate": [float(v) for v in x_star]}))
+                              "point": [float(v) for v in x_star]}))
         else:
             for report in fit_slopes_from_csv(args.aggregate, [args.metric]):
                 _print_slope_report(report)

@@ -19,7 +19,10 @@ def project_l2_ball(x: np.ndarray, radius: float) -> np.ndarray:
     nrm = float(np.linalg.norm(x))
     if nrm <= radius:
         return np.array(x, dtype=float, copy=True)
-    return np.asarray(x, dtype=float) * (radius / nrm)
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise NumericalError("l2-ball projection of a non-finite point")
+    return x * (radius / nrm)
 
 
 def project_l1_ball(x: np.ndarray, radius: float) -> np.ndarray:

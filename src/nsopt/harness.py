@@ -390,8 +390,9 @@ def _run_single(spec: dict, problem, descriptor: SetDescriptor, oracle, options:
                  f_ref)
 
 
-_MEAN_COLUMNS = operator.attrgetter("fo_calls", "sfo_calls", "po_calls", "lmo_calls",
-                                    "f_value", "gap")
+_NUMERIC_FIELDS = CSV_HEADER.split(",")[1:-1]  # the fields of a TraceRecord
+# The columns an aggregate row averages: all but the step and the wall time.
+_MEAN_COLUMNS = operator.attrgetter(*_NUMERIC_FIELDS[1:-1])
 
 
 def _aggregate_rows(groups: dict[tuple[str, float], list[list[TraceRecord]]],
@@ -567,7 +568,6 @@ def fit_slopes(traces: dict[str, dict[float, list]], metric: str) -> SlopeReport
 
 
 _CSV_FIELDS = CSV_HEADER.count(",") + 1
-_NUMERIC_FIELDS = CSV_HEADER.split(",")[1:-1]  # read back as the floats of a TraceRecord
 # Only the objective value and the gap may be negative: the rest are a step, counts and a time.
 _NONNEGATIVE = np.array([name not in ("f_value", "gap") for name in _NUMERIC_FIELDS])
 # Rows whose numbers are checked at once: a 64 KB array, so that no large

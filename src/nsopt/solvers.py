@@ -72,18 +72,13 @@ class SolverConfig:
     projection_mode: str = "budget"  # one of PROJECTION_MODES
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.outer_steps < 1:
-            raise ValueError("outer_steps must be at least 1")
-        if self.d_tilde <= 0 or self.cprime <= 0:
-            raise ValueError("d_tilde, cprime must be positive")
         if self.lipschitz <= 0 or self.set_diameter <= 0 or self.domain_radius <= 0:
             raise ValueError("lipschitz, set_diameter, domain_radius must be positive")
         if self.projection_mode not in PROJECTION_MODES:
             raise ValueError(f"projection_mode must be one of {PROJECTION_MODES}")
-        # The last outer step has the largest inner budget; it and the
-        # Frank-Wolfe budget raise OverflowError here if they are infinite.
+        # ``compute_schedule`` range-checks lam, outer_steps, d_tilde and
+        # cprime.  The last outer step has the largest inner budget; it and
+        # the Frank-Wolfe budget raise OverflowError here if they are infinite.
         self.schedule(self.outer_steps)
 
     def schedule(self, k: int) -> Schedule:
@@ -178,9 +173,6 @@ class TraceRecord:
     f_value: float
     gap: float
     wall_ms: float
-    iterate_distance: float = float("nan")  # ||x_k - x'_k|| where applicable
-    f_current: float = float("nan")  # raw iterate value, when f_value is an average
-    f_best: float = float("nan")
 
 
 @dataclass
@@ -276,22 +268,22 @@ def _check_start_point(x0: np.ndarray, set_oracle) -> np.ndarray:
 
 
 def _trace_step(trace: RunTrace, k: int, counters: OracleCounters, problem,
-                point: np.ndarray, f_ref: float | None, **extra) -> TraceRecord:
+                point: np.ndarray, f_ref: float | None) -> TraceRecord:
     """Append the record of step ``k``: the oracle counts, the uncounted
     ``problem.value`` of ``point`` and the milliseconds since ``trace.started``.
 
-    Raises ``NumericalError`` when the objective value or any extra
-    measurement is not finite, so a diverging run fails loudly at the step
-    where it diverged instead of writing NaN rows.
+    Raises ``NumericalError`` when the objective value is not finite, so a
+    run fails loudly instead of writing NaN rows.  A non-finite subgradient
+    fails earlier, in the projection, Frank-Wolfe projection or inner loop
+    it enters.
     """
     f_value = float(problem.value(point))
-    if not (math.isfinite(f_value) and all(map(math.isfinite, extra.values()))):
-        values = ", ".join(f"{name} = {value!r}"
-                           for name, value in (("f_value", f_value), *extra.items()))
-        raise NumericalError(f"{trace.algorithm}: a value at step {k} is not finite ({values})")
+    if not math.isfinite(f_value):
+        raise NumericalError(f"{trace.algorithm}: a value at step {k} is not finite "
+                             f"(f_value = {f_value!r})")
     record = TraceRecord(k, *counters.as_tuple(), f_value,
                          f_value - f_ref if f_ref is not None else float("nan"),
-                         (time.perf_counter() - trace.started) * 1e3, **extra)
+                         (time.perf_counter() - trace.started) * 1e3)
     trace.records.append(record)
     return record
 
@@ -315,7 +307,8 @@ def prox_slide(sfo, g: np.ndarray, u0: np.ndarray, beta: float, iterations: int,
     ``theta_t = 2(t+1) / (t(t+3))``, which equals the weighted sum
     ``sum_t 2(t+1) u_t / (T(T+3))``.  Consumes exactly ``iterations``
     subgradient calls and no set-oracle calls.  Returns the last iterate
-    and the average.
+    and the average.  A step whose iterate has a NaN or infinite norm raises
+    ``NumericalError``.
 
     ``sfo`` is any oracle with ``sample(x, rng)``: a stochastic oracle, or a
     ``FirstOrderOracle``, whose ``sample`` draws nothing.  The iterate lives
@@ -348,7 +341,10 @@ def prox_slide(sfo, g: np.ndarray, u0: np.ndarray, beta: float, iterations: int,
         multiply(step, 1.0 / ((1.0 + 0.5 * t) * beta), out=scaled)
         u, spare = subtract(u, scaled, out=spare), u
         nrm_sq = u.dot(u)
-        if nrm_sq > radius_sq:
+        if not nrm_sq <= radius_sq:  # also true for a NaN norm
+            if not math.isfinite(nrm_sq):
+                raise NumericalError(f"prox_slide: the iterate's norm at inner step {t} "
+                                     f"is not finite ({nrm_sq!r})")
             u *= radius / math.sqrt(nrm_sq)
         theta = 2.0 * (t + 1) / (t * (t + 3))
         multiply(avg, 1.0 - theta, out=step)
@@ -368,7 +364,8 @@ def fw_quadratic_projection(target: np.ndarray, u0: np.ndarray,
     gap ``beta <u - target, u - s>`` drops to ``wolfe_tol`` (one LMO per
     gap check, checked before the first step; more than ``FW_MAX_STEPS``
     steps raise ``NumericalError``).  The output is always a convex
-    combination of LMO vertices plus the start point, hence feasible.
+    combination of LMO vertices plus the start point, hence feasible.  A
+    NaN or infinite entry of ``target`` raises ``NumericalError``.
 
     The iterate takes turns between two buffers, as in ``prox_slide``: each
     of the three operations of the update writes into the buffer that is
@@ -379,6 +376,8 @@ def fw_quadratic_projection(target: np.ndarray, u0: np.ndarray,
         raise ValueError("specify exactly one of budget or wolfe_tol")
     if budget is not None and budget < 1:
         raise ValueError("budget must be a positive integer")
+    if not np.isfinite(target).all():
+        raise NumericalError("Frank-Wolfe projection: the target is not finite")
     u = np.array(u0, dtype=float, copy=True)
     spare = np.empty_like(u)
     minimize = lmo.minimize
@@ -442,8 +441,7 @@ def _moreau_splitting(problem, oracle, counters: OracleCounters, step,
                                           sched.inner_steps, config.domain_radius, rng)
         x = (1.0 - gamma) * x + gamma * z
         x_prime = (1.0 - gamma) * x_prime + gamma * z_prime_avg
-        _trace_step(trace, k, counters, problem, x, f_ref,
-                    iterate_distance=float(np.linalg.norm(x - x_prime)))
+        _trace_step(trace, k, counters, problem, x, f_ref)
     return SolverResult(x=x, trace=trace, counters=counters)
 
 
@@ -504,9 +502,8 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
     Consumes exactly ``steps`` subgradient and ``steps`` projection calls.
     Returns the stepsize-weighted average iterate.
 
-    Trace rows carry the value of the running averaged iterate (the point
-    the method's guarantee speaks about) in ``f_value``; the raw iterate
-    and best-so-far values ride along as ``f_current`` and ``f_best``.
+    Trace rows carry the value of the running averaged iterate, the point
+    the method's guarantee speaks about, in ``f_value``.
     """
     if steps < 1 or trace_every < 1:
         raise ValueError("steps and trace_every must be positive integers")
@@ -514,32 +511,24 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
         raise ValueError(f"stepsize_rule must be one of {STEPSIZE_RULES}")
     x = _check_start_point(x0, po)
     counters = OracleCounters()
-    fo = _count_first_order(oracle, counters)
-    deterministic = isinstance(fo, FirstOrderOracle)
+    sample = _count_first_order(oracle, counters).sample
     project = wrap_counting(po, counters).project
     rng = _philox(seed)
 
     weighted = np.zeros_like(x)
     weight_sum = 0.0
-    best_val = math.inf
     trace = RunTrace(f"pgd_{stepsize_rule}", seed)
     diminishing = stepsize_rule == "diminishing"
     alpha = set_diameter / (lipschitz * math.sqrt(steps))
     for k in range(1, steps + 1):
         if diminishing:
             alpha = set_diameter / (lipschitz * math.sqrt(k))
-        traced = k % trace_every == 0 or k == steps
-        value, grad = fo.evaluate(x) if deterministic else (None, fo.sample(x, rng))
-        if value is None and traced:
-            value = float(problem.value(x))
-        if value is not None and value < best_val:
-            best_val = value
+        grad = sample(x, rng)
         weighted += alpha * x
         weight_sum += alpha
         x = project(x - alpha * grad)
-        if traced:
-            _trace_step(trace, k, counters, problem, weighted / weight_sum, f_ref,
-                        f_current=float(value), f_best=best_val)
+        if k % trace_every == 0 or k == steps:
+            _trace_step(trace, k, counters, problem, weighted / weight_sum, f_ref)
     return SolverResult(x=weighted / weight_sum, trace=trace, counters=counters)
 
 
@@ -567,7 +556,7 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
     after the last step would not enter the average, so it is not computed.
 
     As in ``pgd``, trace rows carry the value of the running averaged
-    iterate in ``f_value`` and the raw iterate's value in ``f_current``.
+    iterate in ``f_value``.
     ``max_lmo`` and ``target_gap`` allow stopping a run early once the LMO
     spend or the traced gap crosses a threshold; counters then reflect the
     truncated run, and its last row is the returned point.
@@ -578,8 +567,7 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
         raise ValueError(f"mode must be one of {PROJECTION_MODES}")
     x = _check_start_point(x0, lmo)
     counters = OracleCounters()
-    fo = _count_first_order(oracle, counters)
-    deterministic = isinstance(fo, FirstOrderOracle)
+    sample = _count_first_order(oracle, counters).sample
     counted_lmo = wrap_counting(lmo, counters)
     rng = _philox(seed)
 
@@ -592,15 +580,12 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
     weight_sum = 0.0
     trace = RunTrace(f"fw_pgd_{mode}", seed)
     for k in range(1, steps + 1):
-        value, grad = fo.evaluate(x) if deterministic else (None, fo.sample(x, rng))
+        grad = sample(x, rng)
         weighted += alpha * x
         weight_sum += alpha
         spent = max_lmo is not None and counters.lmo_calls >= max_lmo
         if spent or k % trace_every == 0 or k == steps:
-            if value is None:
-                value = problem.value(x)
-            record = _trace_step(trace, k, counters, problem, weighted / weight_sum, f_ref,
-                                 f_current=float(value))
+            record = _trace_step(trace, k, counters, problem, weighted / weight_sum, f_ref)
             if spent or k == steps or (target_gap is not None and record.gap <= target_gap):
                 break
         x = fw_quadratic_projection(x - alpha * grad, x, counted_lmo, budget, 1.0 / alpha,

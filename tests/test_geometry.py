@@ -39,6 +39,11 @@ class TestL2Projection:
     def test_center_fixed_point(self):
         assert_allclose(project_l2_ball(np.zeros(2), 0.7), [0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_is_rejected(self, bad):
+        with pytest.raises(NumericalError, match="non-finite"):
+            project_l2_ball(np.array([0.1, bad]), 1.0)
+
 
 class TestL1Projection:
     def test_interior_point_unchanged(self):

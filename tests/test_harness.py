@@ -347,6 +347,17 @@ class TestRunExperiment:
         assert [Path(f).name for f in manifest["files"]] == ["mopes_eps0.3_rep0.csv",
                                                               "aggregate.csv"]
 
+    def test_nan_frank_wolfe_run_is_isolated(self, tmp_path, monkeypatch):
+        # budget-mode fw_pgd on NaN minibatch subgradients hands its
+        # Frank-Wolfe projection a NaN target
+        manifest = self.run_with_nan_minibatches(
+            tmp_path, monkeypatch, [{"name": "fw_pgd", "steps": 6, "batch_size": 2},
+                                    {"name": "pgd", "steps": 50}])
+        assert [f["run"] for f in manifest["failed"]] == ["fw_pgd_budget_eps0.3_rep0"]
+        assert "target is not finite" in manifest["failed"][0]["error"]
+        assert [Path(f).name for f in manifest["files"]] == ["pgd_fixed_eps0.3_rep0.csv",
+                                                              "aggregate.csv"]
+
 
 class TestSharedRuns:
     """A run without a minibatch whose derived options are the same at every
@@ -599,7 +610,7 @@ class TestCli:
         path = self.write_config(tmp_path)
         assert cli.main(["reference", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out.strip())
-        assert "reference_value" in payload and len(payload["certificate"]) == 3
+        assert "reference_value" in payload and len(payload["point"]) == 3
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         path = self.write_config(tmp_path)

@@ -1,5 +1,6 @@
 """Solver loops: schedules, inner procedures, end-to-end runs, accounting."""
 
+import dataclasses
 import math
 import os
 
@@ -17,10 +18,12 @@ from nsopt import (
     OracleCounters,
     ProjectionOracle,
     SolverConfig,
+    StochasticFirstOrderOracle,
     compute_schedule,
     fw_pgd,
     fw_quadratic_projection,
     l1_ball,
+    l2_ball,
     minibatch_sfo,
     moles,
     mopes,
@@ -266,10 +269,20 @@ class TestFwQuadraticProjection:
 
     def test_wolfe_mode_stops_on_nan_gap(self):
         counters = OracleCounters()
-        lmo = wrap_counting(LinearMinimizationOracle.from_set(l1_ball(2, 1.0)), counters)
-        with pytest.raises(NumericalError, match="NaN"):
-            fw_quadratic_projection(np.full(2, math.nan), np.zeros(2), lmo, wolfe_tol=1e-3)
+        nan_lmo = LinearMinimizationOracle(lambda g: np.full_like(g, math.nan), l1_ball(2, 1.0))
+        lmo = wrap_counting(nan_lmo, counters)
+        with pytest.raises(NumericalError, match="Wolfe gap is NaN"):
+            fw_quadratic_projection(np.ones(2), np.zeros(2), lmo, wolfe_tol=1e-3)
         assert counters.lmo_calls == 1
+
+    @pytest.mark.parametrize("mode", [{"budget": 5}, {"wolfe_tol": 1e-3}])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_target_is_rejected(self, mode, bad):
+        counters = OracleCounters()
+        lmo = wrap_counting(LinearMinimizationOracle.from_set(l1_ball(2, 1.0)), counters)
+        with pytest.raises(NumericalError, match="target is not finite"):
+            fw_quadratic_projection(np.array([0.5, bad]), np.zeros(2), lmo, **mode)
+        assert counters.lmo_calls == 0
 
     def test_wolfe_mode_fails_past_the_step_limit(self, monkeypatch):
         monkeypatch.setattr(nsopt.solvers, "FW_MAX_STEPS", 3)
@@ -455,16 +468,48 @@ class TestNonFiniteValues:
         inst, _, sd = abs_problem(0.6)
         nan_fo = FirstOrderOracle(lambda x: (math.nan, np.full_like(x, math.nan)), 1.0)
         po = ProjectionOracle.from_set(sd)
-        with pytest.raises(NumericalError, match=r"at step 1 is not finite .*iterate_distance = nan"):
+        with pytest.raises(NumericalError, match=r"prox_slide: .* at inner step 1 is not finite"):
             mopes(inst, nan_fo, po, self.mopes_config(sd), np.array([1.0]))
 
+    def test_moles_raises_on_nan_subgradients(self):
+        inst, _, sd = abs_problem(0.6)
+        nan_fo = FirstOrderOracle(lambda x: (0.0, np.full_like(x, math.nan)), 1.0)
+        counters = OracleCounters()
+        lmo = wrap_counting(LinearMinimizationOracle.from_set(sd), counters)
+        cfg = SolverConfig.from_target(0.3, 1.0, sd.diameter, method="moles",
+                                       dist_estimate=0.5, domain_radius=2.0, seed=1)
+        with pytest.raises(NumericalError, match=r"prox_slide: .* at inner step 1 is not finite"):
+            moles(inst, nan_fo, lmo, cfg, np.array([1.0]))
+        assert counters.lmo_calls == cfg.fw_budget  # the first outer step's projection
+
     def test_mopes_raises_on_nan_objective(self):
+        # finite subgradients, so the non-finite value reaches the trace
         inst = AbsoluteValueInstance(np.array([math.nan]))
-        fo = FirstOrderOracle.from_instance(inst)
-        sd = l1_ball(1, 1.0)
+        _, fo, sd = abs_problem(0.6)
         po = ProjectionOracle.from_set(sd)
         with pytest.raises(NumericalError, match=r"at step 1 is not finite \(f_value = nan"):
             mopes(inst, fo, po, self.mopes_config(sd), np.array([1.0]))
+
+    @pytest.mark.parametrize("oracle", [
+        StochasticFirstOrderOracle(lambda x, rng: np.full_like(x, math.nan), 1.0),
+        FirstOrderOracle(lambda x: (0.5, np.full_like(x, math.nan)), 1.0),
+    ], ids=["stochastic", "deterministic"])
+    def test_budget_fw_pgd_raises_on_nan_subgradients(self, oracle):
+        inst, _, sd = abs_problem(0.6)
+        counters = OracleCounters()
+        lmo = wrap_counting(LinearMinimizationOracle.from_set(sd), counters)
+        with pytest.raises(NumericalError, match="Frank-Wolfe projection: the target is not finite"):
+            fw_pgd(inst, oracle, lmo, np.array([1.0]), 10, 1.0, 0.0, sd.diameter)
+        assert counters.lmo_calls == 0
+
+    def test_pgd_on_an_l2_ball_raises_at_its_first_projection(self):
+        inst, _, _ = abs_problem(0.6)
+        nan_fo = FirstOrderOracle(lambda x: (0.5, np.full_like(x, math.nan)), 1.0)
+        projected = []
+        with pytest.raises(NumericalError, match="l2-ball projection of a non-finite point"):
+            pgd(inst, nan_fo, recording_po(l2_ball(1, 1.0), projected), np.array([1.0]),
+                10, 1.0, 2.0)
+        assert projected == []  # the first projection raised
 
 
 class TestMoles:
@@ -628,8 +673,7 @@ class TestFwPgd:
         res = fw_pgd(inst, fo, lmo, x0, 20, 1.0, 0.0, sd.diameter)
         assert res.trace.final.f_value == inst.value(res.x)
         first = res.trace.records[0]
-        assert first.f_current == inst.value(x0)
-        assert first.f_value == pytest.approx(first.f_current, rel=1e-12)
+        assert first.f_value == pytest.approx(inst.value(x0), rel=1e-12)
         # a run stopped by its LMO cap ends on a row for the point it returns
         capped = fw_pgd(inst, fo, lmo, x0, 20, 1.0, 0.0, sd.diameter, trace_every=7,
                         max_lmo=1)
@@ -703,6 +747,9 @@ class TestDeterminismAndTraces:
             assert float(fields[8]) == 0.0  # deterministic placeholder
         timed = res.trace.csv_rows(wall_clock=True)
         assert any(float(row.split(",")[8]) > 0.0 for row in timed)
+
+    def test_record_fields_are_the_numeric_csv_columns(self):
+        assert [f.name for f in dataclasses.fields(TraceRecord)] == CSV_HEADER.split(",")[1:-1]
 
     def test_csv_rows_follow_every_change_to_the_trace(self):
         # Rows are formatted once per list of records; a later change to the
