@@ -45,8 +45,9 @@ def _print_slope_report(report) -> None:
             pts = ", ".join(f"{eps:g}:{calls:g}" for eps, calls in sorted(entry.points.items()))
             print(f"{report.metric}\t{label}\tslope={entry.slope:.4f}\t"
                   f"residual={entry.residual:.2e}\tcalls[{pts}]")
-        for eps in entry.excluded:
-            print(f"{report.metric}\t{label}\texcluded eps={eps:g} (never reached)")
+        for eps, count in entry.excluded.items():
+            reason = "never reached" if count is None else f"reached at {count:g} calls"
+            print(f"{report.metric}\t{label}\texcluded eps={eps:g} ({reason})")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -159,10 +159,10 @@ class SetDescriptor:
     def membership_residual(self, x: np.ndarray) -> float:
         return max(0.0, self.norm(x) - self.radius)
 
-    def contains(self, x: np.ndarray, tol: float = 1e-8) -> bool:
-        """Whether ``x`` is in the ball up to ``tol * max(1, radius)``: the
+    def contains(self, x: np.ndarray) -> bool:
+        """Whether ``x`` is in the ball up to ``1e-8 * max(1, radius)``: the
         rounding error of the norm grows with the radius."""
-        return self.membership_residual(x) <= tol * max(1.0, self.radius)
+        return self.membership_residual(x) <= 1e-8 * max(1.0, self.radius)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

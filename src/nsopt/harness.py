@@ -165,7 +165,7 @@ PROBLEM_KEYS = {
         "d": (_at_least(1), 10), "pieces": (_at_least(2), 6),
         "anchor": (lambda v: np.array(_list_of(_real)(v)), None)},
     "hinge_svm": _PROBLEM_SHARED | _VECTOR_SET | {
-        "n": (_at_least(1), 100), "d": (_at_least(1), 10), "add_bias": (_boolean, False)},
+        "n": (_at_least(1), 100), "d": (_at_least(1), 10)},
     "matrix_svm": _PROBLEM_SHARED | {
         "set": (_choice(*SetDescriptor._KINDS), "l1_ball"),
         "n": (_at_least(1), 50), "rows": (_at_least(1), 4), "cols": (_at_least(1), 4)},
@@ -174,7 +174,7 @@ _FINITE_SUMS = ("hinge_svm", "matrix_svm")  # the kinds a minibatch oracle can s
 _SOLVER_SHARED = {"name": (str, _REQUIRED), "batch_size": (_at_least(1), None)}
 _SPLITTING = _SOLVER_SHARED | {"c": (_positive, 1.0), "dist_estimate": (_positive, None)}
 # A baseline without ``steps`` takes the horizon that ``_solver_options`` derives from eps.
-_BASELINE = _SOLVER_SHARED | {"steps": (_at_least(1), None), "trace_every": (_at_least(1), 1)}
+_BASELINE = _SOLVER_SHARED | {"steps": (_at_least(1), None)}
 SOLVER_KEYS = {
     "mopes": _SPLITTING,
     "moles": _SPLITTING | {"cprime": (_positive, 1.0),
@@ -260,8 +260,7 @@ def build_problem(spec: dict):
         instance = synth_piecewise_linear(spec["d"], spec["pieces"], spec["seed"],
                                           anchor=spec["anchor"])
     elif spec["kind"] == "hinge_svm":
-        instance = HingeSvmInstance(synth_hinge_data(spec["n"], spec["d"], spec["seed"],
-                                                     add_bias=spec["add_bias"]))
+        instance = HingeSvmInstance(synth_hinge_data(spec["n"], spec["d"], spec["seed"]))
     else:
         m, p = spec["rows"], spec["cols"]
         flat = synth_hinge_data(spec["n"], m * p, spec["seed"])
@@ -498,7 +497,9 @@ class SolverSlope:
     slope: float
     residual: float
     points: dict[float, float]
-    excluded: list[float] = field(default_factory=list)
+    # Each accuracy left out of the fit: the count of 0 it was reached at,
+    # which a log scale cannot fit, or None when it was never reached.
+    excluded: dict[float, float | None] = field(default_factory=dict)
     unused: bool = False  # the solver never calls this oracle
 
 
@@ -537,9 +538,10 @@ def fit_slopes(traces: dict[str, dict[float, list]], metric: str) -> SlopeReport
 
     ``traces`` maps solver label to {eps: trace rows}; the count for each
     accuracy is the metric value at the first row reaching that gap.
-    Solvers need at least 3 reachable accuracies; unreachable ones are
-    excluded and flagged.  A solver whose count is zero in every row is
-    marked ``unused`` instead: it never calls that oracle.
+    Solvers need at least 3 fitted accuracies; one never reached, or
+    reached at a count of 0, is excluded and flagged.  A solver whose count
+    is zero in every row is marked ``unused`` instead: it never calls that
+    oracle.
     """
     if metric not in METRIC_COLUMNS:
         raise ConfigError(f"unknown metric {metric!r}; one of {', '.join(METRIC_COLUMNS)}")
@@ -550,11 +552,11 @@ def fit_slopes(traces: dict[str, dict[float, list]], metric: str) -> SlopeReport
             report.solvers[label] = SolverSlope(float("nan"), float("nan"), {}, unused=True)
             continue
         points: dict[float, float] = {}
-        excluded: list[float] = []
+        excluded: dict[float, float | None] = {}
         for eps, rows in per_eps.items():
             count = calls_to_reach(rows, eps, column)
             if count is None or count <= 0:
-                excluded.append(eps)
+                excluded[eps] = count
             else:
                 points[eps] = count
         if len(points) < 3:

@@ -13,8 +13,9 @@ SFO draws its indices ahead in blocks.  Counters, random streams and that
 lookahead are per-run mutable state and must stay confined to one run at a
 time: while an oracle samples from a generator, draw from that generator
 only through that oracle, which can leave it up to one block ahead.  A
-minibatch SFO handed another generator rewinds the one it leaves to where
-per-call draws would have left it.
+minibatch SFO serves one generator at a time: handed another, it leaves
+the old one where its last block left it and never returns to it, so a
+run owns its generator and does not hand it back after another run.
 """
 
 from __future__ import annotations
@@ -182,10 +183,11 @@ def minibatch_sfo(problem, batch_size: int, rng=None) -> StochasticFirstOrderOra
     across calls, so the block's rows are the batches that ``B`` calls of
     size ``batch_size`` would draw, and leave the generator in the same
     state.  Until the block is used up, the generator is ahead of the
-    batches served: draw from it only through this oracle.  Handed another
-    generator part-way through a block, ``sample`` restores the one it
-    leaves to its state before the block and redraws the batches served,
-    so that generator ends where per-call draws would have left it.
+    batches served: draw from it only through this oracle.  Handed a
+    generator other than the one its block came from, ``sample`` drops the
+    rest of that block and starts a fresh one from the new generator, which
+    then gets its own per-call stream; the generator left behind stays up
+    to one block ahead, so it must not be handed back.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be a positive integer")
@@ -200,21 +202,15 @@ def minibatch_sfo(problem, batch_size: int, rng=None) -> StochasticFirstOrderOra
         return StochasticFirstOrderOracle(sample, variance_bound=0.0)
 
     per_block = max(1, _BLOCK_INDICES // batch_size)
-    # The generator the block came from, its state before the block, the
-    # block, and how many of its batches have been served.
-    owner = saved = block = None
+    # The generator the block came from, the block, and how many of its
+    # batches have been served.
+    owner = block = None
     served = per_block
 
     def sample(x, gen):
-        nonlocal owner, saved, block, served
-        if gen is not owner:
-            if served < per_block:
-                owner.bit_generator.state = saved
-                owner.integers(0, n, size=(served, batch_size))
-            owner, served = gen, per_block
-        if served == per_block:
-            saved = gen.bit_generator.state
-            block = gen.integers(0, n, size=(per_block, batch_size))
+        nonlocal owner, block, served
+        if served == per_block or gen is not owner:
+            owner, block = gen, gen.integers(0, n, size=(per_block, batch_size))
             served = 0
         served += 1
         return problem.batch_subgradient(x, block[served - 1])

@@ -182,7 +182,7 @@ def synth_piecewise_linear(dim: int, pieces: int, seed: int,
     return instance
 
 
-def synth_hinge_data(n: int, dim: int, seed: int, add_bias: bool = False) -> np.ndarray:
+def synth_hinge_data(n: int, dim: int, seed: int) -> np.ndarray:
     """Label-folded rows for a synthetic linearly-separable-ish SVM task.
 
     Features are scaled so row norms concentrate near one, keeping the
@@ -193,7 +193,5 @@ def synth_hinge_data(n: int, dim: int, seed: int, add_bias: bool = False) -> np.
     w = rng.standard_normal(dim)
     w /= np.linalg.norm(w)
     labels = np.where(features @ w >= 0.0, 1.0, -1.0)
-    if add_bias:
-        features = np.hstack([features, np.ones((n, 1))])
     return features * labels[:, None]
 

@@ -262,7 +262,7 @@ def _check_start_point(x0: np.ndarray, set_oracle) -> np.ndarray:
     of a projection or linear-minimization oracle that it lies in the set;
     no oracle call is made."""
     x = np.array(x0, dtype=float, copy=True)
-    if not set_oracle.set_descriptor.contains(x, tol=1e-8):
+    if not set_oracle.set_descriptor.contains(x):
         raise ValueError("start point is not in the constraint set")
     return x
 
@@ -494,7 +494,7 @@ def moles(problem, oracle, lmo: LinearMinimizationOracle, config: SolverConfig,
 
 def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
         lipschitz: float, set_diameter: float, stepsize_rule: str = "fixed",
-        seed: int = 0, f_ref: float | None = None, trace_every: int = 1) -> SolverResult:
+        seed: int = 0, f_ref: float | None = None) -> SolverResult:
     """Projected subgradient descent with a fixed or diminishing stepsize.
 
     ``x_{k+1} = P_X(x_k - alpha_k g_k)`` with ``alpha_k`` equal to
@@ -502,11 +502,11 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
     Consumes exactly ``steps`` subgradient and ``steps`` projection calls.
     Returns the stepsize-weighted average iterate.
 
-    Trace rows carry the value of the running averaged iterate, the point
-    the method's guarantee speaks about, in ``f_value``.
+    Trace rows, one per step, carry the value of the running averaged
+    iterate, the point the method's guarantee speaks about, in ``f_value``.
     """
-    if steps < 1 or trace_every < 1:
-        raise ValueError("steps and trace_every must be positive integers")
+    if steps < 1:
+        raise ValueError("steps must be a positive integer")
     if stepsize_rule not in STEPSIZE_RULES:
         raise ValueError(f"stepsize_rule must be one of {STEPSIZE_RULES}")
     x = _check_start_point(x0, po)
@@ -527,8 +527,7 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
         weighted += alpha * x
         weight_sum += alpha
         x = project(x - alpha * grad)
-        if k % trace_every == 0 or k == steps:
-            _trace_step(trace, k, counters, problem, weighted / weight_sum, f_ref)
+        _trace_step(trace, k, counters, problem, weighted / weight_sum, f_ref)
     return SolverResult(x=weighted / weight_sum, trace=trace, counters=counters)
 
 
@@ -542,8 +541,8 @@ def fw_pgd_budget(steps: int) -> int:
 def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps: int,
            lipschitz: float, sigma: float, set_diameter: float,
            mode: str = "budget", seed: int = 0,
-           f_ref: float | None = None, trace_every: int = 1,
-           max_lmo: int | None = None, target_gap: float | None = None) -> SolverResult:
+           f_ref: float | None = None, max_lmo: int | None = None,
+           target_gap: float | None = None) -> SolverResult:
     """Projected subgradient descent with Frank-Wolfe approximate projections.
 
     Each step approximately projects ``x_k - alpha g_k`` back onto the set,
@@ -555,14 +554,15 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
     subgradient call per step and ``steps - 1`` projections: the iterate
     after the last step would not enter the average, so it is not computed.
 
-    As in ``pgd``, trace rows carry the value of the running averaged
-    iterate in ``f_value``.
-    ``max_lmo`` and ``target_gap`` allow stopping a run early once the LMO
-    spend or the traced gap crosses a threshold; counters then reflect the
-    truncated run, and its last row is the returned point.
+    As in ``pgd``, trace rows, one per step, carry the value of the
+    running averaged iterate in ``f_value``.  The run stops after the
+    row of the last step, the first row that counts at least ``max_lmo``
+    LMO calls, or the first row whose gap is at most ``target_gap``;
+    counters then reflect the truncated run, and its last row is the
+    returned point.
     """
-    if steps < 1 or trace_every < 1:
-        raise ValueError("steps and trace_every must be positive integers")
+    if steps < 1:
+        raise ValueError("steps must be a positive integer")
     if mode not in PROJECTION_MODES:
         raise ValueError(f"mode must be one of {PROJECTION_MODES}")
     x = _check_start_point(x0, lmo)
@@ -583,11 +583,10 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
         grad = sample(x, rng)
         weighted += alpha * x
         weight_sum += alpha
-        spent = max_lmo is not None and counters.lmo_calls >= max_lmo
-        if spent or k % trace_every == 0 or k == steps:
-            record = _trace_step(trace, k, counters, problem, weighted / weight_sum, f_ref)
-            if spent or k == steps or (target_gap is not None and record.gap <= target_gap):
-                break
+        record = _trace_step(trace, k, counters, problem, weighted / weight_sum, f_ref)
+        if (k == steps or max_lmo is not None and counters.lmo_calls >= max_lmo
+                or target_gap is not None and record.gap <= target_gap):
+            break
         x = fw_quadratic_projection(x - alpha * grad, x, counted_lmo, budget, 1.0 / alpha,
                                     wolfe_tol)
     return SolverResult(x=weighted / weight_sum, trace=trace, counters=counters)

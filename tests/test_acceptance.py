@@ -200,6 +200,7 @@ def test_criterion_2_projection_and_lmo_equivalence(rng):
             assert value <= values.min() + 1e-6
 
 
+@pytest.mark.slow
 def test_criterion_3_mopes_end_to_end(bench):
     desc = "projection-efficient solver: accuracy, exact accounting, slope 1 vs 2"
     with criterion(3, desc):
@@ -235,6 +236,7 @@ def test_criterion_3_mopes_end_to_end(bench):
         assert 1.7 <= base_slope <= 2.3, f"baseline projection slope {base_slope}"
 
 
+@pytest.mark.slow
 def test_criterion_4_moles_end_to_end(bench, moles_bench):
     desc = "LMO-efficient solver: accuracy, exact LMO budget, quartic-rate baseline"
     with criterion(4, desc):
@@ -344,6 +346,7 @@ def svm_bench():
     return {"problem": problem, "ball": ball, "f_ref": f_ref, "x_ref": x_ref}
 
 
+@pytest.mark.slow
 def test_criterion_7_stochastic_runs(svm_bench):
     desc = "stochastic minibatch runs hit the target accuracy in the mean"
     with criterion(7, desc):
@@ -380,6 +383,7 @@ def test_criterion_7_stochastic_runs(svm_bench):
         assert float(np.mean(gaps)) <= 1.2 * eps
 
 
+@pytest.mark.slow
 def test_criterion_8_determinism_and_accounting(tmp_path, bench, moles_bench):
     desc = "byte-identical traces per configuration and exact counter identities"
     with criterion(8, desc):

@@ -68,6 +68,8 @@ class TestConfig:
         ({"solvers": [{"name": "mopes", "domain_radius": 2.0}]}, "domain_radius"),
         ({"solvers": [{"name": "mopes", "project_inner": False}]}, "project_inner"),
         ({"solvers": [{"name": "mopes", "cprime": 2.0}]}, "cprime"),
+        ({"solvers": [{"name": "pgd", "trace_every": 5}]}, "trace_every"),
+        ({"problem": {"kind": "hinge_svm", "add_bias": True}}, "add_bias"),
     ])
     def test_unknown_keys_rejected(self, tmp_path, overrides, key):
         with pytest.raises(ConfigError, match=f"unknown .* key\\(s\\): '{key}'"):
@@ -98,8 +100,7 @@ class TestConfig:
         assert cfg.problem == {"kind": "piecewise_linear", "set": "l1_ball", "radius": 1.0,
                                "seed": 0, "d": 4, "pieces": 4, "anchor": None}
         assert cfg.solvers == [
-            {"name": "pgd", "batch_size": None, "trace_every": 1, "steps": 50,
-             "stepsize_rule": "fixed"},
+            {"name": "pgd", "batch_size": None, "steps": 50, "stepsize_rule": "fixed"},
             {"name": "moles", "batch_size": None, "c": 1.0, "cprime": 1.0,
              "dist_estimate": None, "projection_mode": "budget"}]
 
@@ -366,7 +367,7 @@ class TestSharedRuns:
 
     SOLVERS = [{"name": "mopes", "dist_estimate": 1.0},
                {"name": "pgd", "steps": 30},
-               {"name": "fw_pgd", "steps": 6, "trace_every": 4},
+               {"name": "fw_pgd", "steps": 6},
                {"name": "fw_pgd", "mode": "wolfe"},
                {"name": "pgd", "steps": 30, "batch_size": 2, "stepsize_rule": "diminishing"}]
     RUNS_PER_REP = {"mopes": 3, "pgd_fixed": 1, "fw_pgd_budget": 1, "fw_pgd_wolfe": 3,
@@ -535,8 +536,17 @@ class TestSlopeFits:
                                                    fo_calls=5, sfo_calls=5)]
         report = fit_slopes(traces, "po")
         entry = report.solvers["solver"]
-        assert entry.excluded == [0.125]
+        assert entry.excluded == {0.125: None}
         assert math.isnan(entry.slope)
+
+    def test_accuracy_reached_at_a_zero_count_is_flagged_as_reached(self):
+        # a log scale cannot fit a count of 0, but the accuracy was reached
+        traces = self.synthetic_traces(1)
+        traces["solver"][2.0] = [SimpleNamespace(gap=0.42, po_calls=0, lmo_calls=0,
+                                                 fo_calls=1, sfo_calls=0)]
+        entry = fit_slopes(traces, "po").solvers["solver"]
+        assert entry.excluded == {2.0: 0.0}
+        assert 2.0 not in entry.points and abs(entry.slope - 1.0) <= 1e-9
 
     def test_zero_count_metric_is_unused(self, capsys):
         traces = self.synthetic_traces(1)
@@ -679,7 +689,6 @@ class TestCli:
         ({"solvers": [{"name": ["mopes"]}]}, "name"),
         ({"record_wall_time": "false"}, "'record_wall_time'"),
         ({"record_wall_time": 0}, "'record_wall_time'"),
-        ({"problem": {"kind": "hinge_svm", "add_bias": "false"}}, "'add_bias'"),
         ({"solvers": [{"name": "pgd", "steps": 2.5}]}, "'steps'"),
         ({"problem": {"kind": "piecewise_linear", "d": 4.9}}, "'d'"),
         ({"solvers": [{"name": "pgd", "steps": True}]}, "'steps'"),
@@ -694,7 +703,6 @@ class TestCli:
         ({"problem": {"kind": "piecewise_linear", "radius": 0}}, "'radius'"),
         ({"solvers": [{"name": "pgd", "steps": 0}]}, "'steps'"),
         ({"solvers": [{"name": "fw_pgd", "steps": 0}]}, "'steps'"),
-        ({"solvers": [{"name": "pgd", "trace_every": 0}]}, "'trace_every'"),
         ({"solvers": [{"name": "mopes", "batch_size": 0}]}, "'batch_size'"),
         ({"solvers": [{"name": "mopes", "c": -1}]}, "'c'"),
         ({"solvers": [{"name": "moles", "cprime": 0}]}, "'cprime'"),
@@ -728,10 +736,10 @@ class TestCli:
         ({"solvers": {"name": "mopes"}}, "config key 'solvers': expected a list"),
     ], ids=["d", "set", "steps", "stepsize_rule", "projection_mode", "dist_estimate",
             "max_lmo", "second_solver", "duplicate_label", "unhashable_name",
-            "bool_string", "bool_int", "add_bias_string", "int_fraction", "d_fraction",
+            "bool_string", "bool_int", "int_fraction", "d_fraction",
             "int_bool", "int_string", "int_infinite", "d_zero", "pieces_one", "n_zero",
             "rows_zero", "cols_negative", "radius_negative", "radius_zero", "steps_zero",
-            "fw_steps_zero", "trace_every_zero", "batch_size_zero", "c_negative",
+            "fw_steps_zero", "batch_size_zero", "c_negative",
             "cprime_zero", "dist_estimate_zero", "c_nan", "reference_budget_small",
             "repetitions_zero", "radius_bool", "c_string", "c_infinite", "epsilons_string",
             "epsilons_nan", "epsilons_bool", "max_lmo_nan", "max_lmo_zero",
@@ -809,6 +817,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: format:")
         assert f"{agg}: {message}" in err
+
+    def test_slopes_flags_an_accuracy_reached_at_zero_calls(self, tmp_path, capsys):
+        # the first row of a Frank-Wolfe baseline comes before any LMO call
+        rows = ["fw_pgd_wolfe|eps=2,1,1,0,0,0,0.9,0.42,0.0,1",
+                "fw_pgd_wolfe|eps=1,1,1,0,0,0,2.1,1.5,0.0,1",
+                "fw_pgd_wolfe|eps=1,2,2,0,0,40,0.6,0.12,0.0,1",
+                "fw_pgd_wolfe|eps=0.1,1,1,0,0,0,0.9,0.42,0.0,1"]
+        agg = tmp_path / "aggregate.csv"
+        agg.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+        assert cli.main(["slopes", str(agg), "--metric", "lmo"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "lmo\tfw_pgd_wolfe\tslope=nan (fewer than 3 reachable accuracies)",
+            "lmo\tfw_pgd_wolfe\texcluded eps=2 (reached at 0 calls)",
+            "lmo\tfw_pgd_wolfe\texcluded eps=0.1 (never reached)"]
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "absent.json")]) == 2

@@ -200,24 +200,23 @@ def test_minibatch_sample_is_a_per_call_draw_bit_for_bit(batch):
         assert sfo.sample(x, drawn).tobytes() == expected.tobytes()
 
 
-def test_interleaved_generators_each_get_their_per_call_stream():
+def test_a_generator_handed_over_mid_block_gets_its_per_call_stream():
+    # one run's generator takes over part-way through another run's block
     svm = HingeSvmInstance(synth_hinge_data(30, 4, 2))
     batch = 7
-    sfo = minibatch_sfo(svm, batch)
+    per_block = _BLOCK_INDICES // batch
     x = philox(5).standard_normal(4)
-    drawn = [philox(10), philox(11)]
-    reference = [philox(10), philox(11)]
-    lengths = philox(12).integers(1, 3 * _BLOCK_INDICES // batch, size=12)
-    for turn, length in enumerate(lengths):
-        which = turn % 2
-        for _ in range(length):
-            expected = svm.batch_subgradient(x, reference[which].integers(0, 30, size=batch))
-            assert sfo.sample(x, drawn[which]).tobytes() == expected.tobytes()
-        if turn:
-            # the generator switched away from is where per-call draws left it
-            assert stream_state(drawn[1 - which]) == stream_state(reference[1 - which])
-    sfo.sample(x, philox(13))
-    assert [stream_state(g) for g in drawn] == [stream_state(g) for g in reference]
+    for handed_over_after in (1, 100, per_block - 1):
+        sfo = minibatch_sfo(svm, batch)
+        other = philox([10, handed_over_after])
+        for _ in range(handed_over_after):
+            sfo.sample(x, other)
+        drawn, reference = philox(11), philox(11)
+        for served in range(1, 2 * per_block + 1):
+            expected = svm.batch_subgradient(x, reference.integers(0, 30, size=batch))
+            assert sfo.sample(x, drawn).tobytes() == expected.tobytes()
+            if served % per_block == 0:  # a used-up block leaves no lookahead
+                assert stream_state(drawn) == stream_state(reference)
 
 
 def test_invalid_arguments():

@@ -603,8 +603,6 @@ class TestPgd:
             pgd(inst, fo, po, np.array([0.0]), 0, 1.0, 2.0)
         with pytest.raises(ValueError):
             pgd(inst, fo, po, np.array([0.0]), 10, 1.0, 2.0, stepsize_rule="warm")
-        with pytest.raises(ValueError):
-            pgd(inst, fo, po, np.array([0.0]), 10, 1.0, 2.0, trace_every=0)
 
 
 class TestFwPgd:
@@ -625,8 +623,7 @@ class TestFwPgd:
     def test_invalid_arguments(self):
         inst, fo, sd = abs_problem(0.0)
         lmo = LinearMinimizationOracle.from_set(sd)
-        for kwargs in ({"steps": 0}, {"steps": 4, "trace_every": 0},
-                       {"steps": 4, "mode": "exact"}):
+        for kwargs in ({"steps": 0}, {"steps": 4, "mode": "exact"}):
             with pytest.raises(ValueError):
                 fw_pgd(inst, fo, lmo, np.array([0.0]), lipschitz=1.0, sigma=0.0,
                        set_diameter=2.0, **kwargs)
@@ -675,9 +672,8 @@ class TestFwPgd:
         first = res.trace.records[0]
         assert first.f_value == pytest.approx(inst.value(x0), rel=1e-12)
         # a run stopped by its LMO cap ends on a row for the point it returns
-        capped = fw_pgd(inst, fo, lmo, x0, 20, 1.0, 0.0, sd.diameter, trace_every=7,
-                        max_lmo=1)
-        assert [r.k for r in capped.trace.records] == [2]
+        capped = fw_pgd(inst, fo, lmo, x0, 20, 1.0, 0.0, sd.diameter, max_lmo=1)
+        assert [r.k for r in capped.trace.records] == [1, 2]
         assert capped.trace.final.f_value == inst.value(capped.x)
 
 
@@ -702,7 +698,8 @@ class TestDeterminismAndTraces:
         assert a.trace.csv_rows() == b.trace.csv_rows()
 
     def test_counters_match_final_row(self):
-        # no oracle call is spent after the row that reports the returned point
+        # no oracle call is spent after the row that reports the returned point,
+        # and a baseline writes one row per step
         inst, fo, sd = abs_problem(0.6)
         po = ProjectionOracle.from_set(sd)
         lmo = LinearMinimizationOracle.from_set(sd)
@@ -717,16 +714,23 @@ class TestDeterminismAndTraces:
             mopes(inst, fo, po, config("mopes"), x0),
             moles(inst, fo, lmo, config("moles"), x0),
             moles(inst, fo, lmo, config("moles", "wolfe"), x0),
-            pgd(inst, fo, po, x0, 50, 1.0, 2.0, trace_every=7),
-            fw_pgd(inst, fo, lmo, x0, 8, 1.0, 0.0, 2.0, trace_every=3),
+            pgd(inst, fo, po, x0, 50, 1.0, 2.0),
+            fw_pgd(inst, fo, lmo, x0, 8, 1.0, 0.0, 2.0),
             fw_pgd(inst, fo, lmo, x0, 8, 1.0, 0.0, 2.0, mode="wolfe"),
-            fw_pgd(inst, fo, lmo, x0, 8, 1.0, 0.0, 2.0, trace_every=3, max_lmo=300),
+            fw_pgd(inst, fo, lmo, x0, 8, 1.0, 0.0, 2.0, max_lmo=300),
         ]
         for res in runs:
             final = res.trace.final
             assert res.counters.as_tuple() == (final.fo_calls, final.sfo_calls,
                                                final.po_calls, final.lmo_calls)
-        assert runs[-1].trace.final.k < 8  # the capped run did stop early
+        for res, steps in zip(runs[3:6], (50, 8, 8)):
+            assert [r.k for r in res.trace.records] == list(range(1, steps + 1))
+        # each projection takes 28 * 8 + 1 = 225 LMO calls: the cap of 300 is
+        # first reached by the row of step 3, after two projections
+        capped = runs[-1]
+        assert [(r.k, r.lmo_calls) for r in capped.trace.records] == [(1, 0), (2, 225),
+                                                                      (3, 450)]
+        assert capped.trace.final.f_value == inst.value(capped.x)
 
     def test_csv_schema(self, tmp_path):
         inst, fo, sd = abs_problem(0.6)
