@@ -23,7 +23,6 @@ from .geometry import (
 )
 from .harness import (
     ExperimentConfig,
-    SlopeReport,
     fit_slopes,
     fit_slopes_from_csv,
     load_config,

@@ -35,19 +35,20 @@ from .harness import (
 )
 
 
-def _print_slope_report(report) -> None:
-    for label, entry in sorted(report.solvers.items()):
+def _print_slope_report(metric: str, fits: dict) -> None:
+    for label, entry in sorted(fits.items()):
         if entry.unused:
-            print(f"{report.metric}\t{label}\tmetric unused")
+            print(f"{metric}\t{label}\tmetric unused")
         elif math.isnan(entry.slope):
-            print(f"{report.metric}\t{label}\tslope=nan (fewer than 3 reachable accuracies)")
+            print(f"{metric}\t{label}\tslope=nan "
+                  "(fewer than 3 accuracies reached at a positive count)")
         else:
             pts = ", ".join(f"{eps:g}:{calls:g}" for eps, calls in sorted(entry.points.items()))
-            print(f"{report.metric}\t{label}\tslope={entry.slope:.4f}\t"
+            print(f"{metric}\t{label}\tslope={entry.slope:.4f}\t"
                   f"residual={entry.residual:.2e}\tcalls[{pts}]")
         for eps, count in entry.excluded.items():
             reason = "never reached" if count is None else f"reached at {count:g} calls"
-            print(f"{report.metric}\t{label}\texcluded eps={eps:g} ({reason})")
+            print(f"{metric}\t{label}\texcluded eps={eps:g} ({reason})")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -72,8 +73,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "sweep":
             manifest = run_experiment(load_config(args.config))
             agg = manifest["files"][-1]
-            for report in fit_slopes_from_csv(agg, sorted(METRIC_COLUMNS)):
-                _print_slope_report(report)
+            for metric, fits in fit_slopes_from_csv(agg, sorted(METRIC_COLUMNS)).items():
+                _print_slope_report(metric, fits)
             print(json.dumps({"files": manifest["files"], "failed": manifest["failed"]}))
         elif args.command == "reference":
             cfg = load_config(args.config)
@@ -82,8 +83,8 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps({"reference_value": f_star,
                               "point": [float(v) for v in x_star]}))
         else:
-            for report in fit_slopes_from_csv(args.aggregate, [args.metric]):
-                _print_slope_report(report)
+            fits = fit_slopes_from_csv(args.aggregate, [args.metric])[args.metric]
+            _print_slope_report(args.metric, fits)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

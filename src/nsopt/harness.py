@@ -5,7 +5,9 @@ A single JSON config file describes one experiment: a synthetic problem,
 a constraint set, a list of solvers with per-solver options, a list of
 target accuracies, and a repetition count.  Each
 (solver, accuracy, repetition) run writes one CSV trace; an aggregate CSV
-holds per-row means across repetitions.  Runs are deterministic per
+holds per-row means across repetitions.  The harness alone names and seeds
+each file: a solver's trace holds only its records, and the harness writes
+its ``algorithm`` and ``seed`` columns.  Runs are deterministic per
 (global seed, repetition index), and within one repetition every solver
 and accuracy starts from the same point.
 """
@@ -399,7 +401,8 @@ def _aggregate_rows(groups: dict[tuple[str, float], list[list[TraceRecord]]],
     """Yield the aggregate CSV rows of ``groups``, which maps each ``(label, eps)``
     to the records of its repetitions: per group, the mean across
     repetitions, aligned by row index and cut to the shortest run (an
-    early-stopped ``fw_pgd`` run is shorter), tagged ``label|eps=``.
+    early-stopped ``fw_pgd`` run is shorter), written as algorithm
+    ``label|eps=`` under the experiment ``seed``.
 
     The values form one C-contiguous ``(rows, columns, repetitions)`` array,
     so ``mean(axis=-1)`` sums each row's repetitions with the same pairwise
@@ -416,11 +419,10 @@ def _aggregate_rows(groups: dict[tuple[str, float], list[list[TraceRecord]]],
             length = min(map(len, runs))
             values = np.stack([np.array(list(map(_MEAN_COLUMNS, records[:length])), dtype=float)
                                for records in runs], axis=-1)
-            mean = means[key] = RunTrace("", seed, [
+            mean = means[key] = RunTrace([
                 TraceRecord(r.k, *row, wall_ms=0.0)
                 for r, row in zip(runs[0], values.mean(axis=-1).tolist())])
-        mean.algorithm = f"{label}|eps={eps!r}"
-        yield from mean.csv_rows()
+        yield from mean.csv_rows(f"{label}|eps={eps!r}", seed)
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -434,10 +436,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     Each solver entry's oracle and its ``_solver_options`` at every accuracy
     are derived once, before any file or solve.  A run without
     ``batch_size`` draws nothing from its seed, so an accuracy whose options
-    equal the first accuracy's writes that accuracy's run of the repetition
-    under its own run seed: the bytes a run of its own would write, from
-    rows formatted once.  A failure of the shared run fails it at every such
-    accuracy, with the same message.
+    equal those of an earlier accuracy writes the first such accuracy's run
+    of the repetition under its own run seed: the bytes a run of its own
+    would write, from rows formatted once.  A failure of the
+    shared run fails it at every such accuracy, with the same message.
     """
     problem, descriptor, lipschitz = build_problem(config.problem)
     plans = []
@@ -454,28 +456,31 @@ def run_experiment(config: ExperimentConfig) -> dict:
     groups: dict[tuple[str, float], list[list[TraceRecord]]] = {}
     for si, (spec, oracle, options) in enumerate(plans):
         label = _solver_label(spec)
-        outcomes: dict[int, RunTrace | NumericalError] = {}  # per repetition, at the first eps
+        # The eps whose run each eps writes: the first with equal options,
+        # unless the run draws from its seed.
+        firsts = [ei if spec["batch_size"] else options.index(opts)
+                  for ei, opts in enumerate(options)]
+        outcomes: dict[tuple[int, int], RunTrace | NumericalError] = {}  # by (first, rep)
         for ei, eps in enumerate(config.epsilons):
-            shared = spec["batch_size"] is None and options[ei] == options[0]
+            first = firsts[ei]
             for rep in range(config.repetitions):
                 run_id = f"{label}_eps{eps:g}_rep{rep}"
                 seed = _run_seed(config.seed, si, ei, rep)
-                outcome = outcomes.get(rep) if shared else None
+                outcome = outcomes.get((first, rep))
                 if outcome is None:
                     try:
                         outcome = _run_single(spec, problem, descriptor, oracle, options[ei],
                                               starts[rep], seed, f_ref).trace
                     except NumericalError as exc:
                         outcome = exc
-                    if shared:
-                        outcomes[rep] = outcome
+                    if first in firsts[ei + 1:]:  # kept only for a later eps to write
+                        outcomes[first, rep] = outcome
                 if isinstance(outcome, NumericalError):
                     manifest["failed"].append({"run": run_id, "error": str(outcome)})
                     manifest["runs"].append({"run": run_id, "status": "failed"})
                     continue
-                outcome.seed = seed
                 path = os.path.join(out_dir, run_id + ".csv")
-                outcome.write_csv(path, wall_clock=config.record_wall_time)
+                outcome.write_csv(path, label, seed, wall_clock=config.record_wall_time)
                 manifest["files"].append(path)
                 manifest["runs"].append({"run": run_id, "status": "ok"})
                 groups.setdefault((label, eps), []).append(outcome.records)
@@ -503,12 +508,6 @@ class SolverSlope:
     unused: bool = False  # the solver never calls this oracle
 
 
-@dataclass
-class SlopeReport:
-    metric: str
-    solvers: dict[str, SolverSlope]
-
-
 def fit_loglog(eps_values, calls) -> tuple[float, float]:
     """Least-squares slope of ``log(calls)`` against ``log(1/eps)`` and the
     root-mean-square residual of the fit."""
@@ -533,10 +532,11 @@ def calls_to_reach(trace_rows, eps: float, column: str) -> float | None:
     return None
 
 
-def fit_slopes(traces: dict[str, dict[float, list]], metric: str) -> SlopeReport:
+def fit_slopes(traces: dict[str, dict[float, list]], metric: str) -> dict[str, SolverSlope]:
     """Fit per-solver complexity slopes from per-accuracy traces.
 
-    ``traces`` maps solver label to {eps: trace rows}; the count for each
+    ``traces`` maps solver label to {eps: trace rows}, and the result maps
+    each label to its ``SolverSlope`` on ``metric``; the count for each
     accuracy is the metric value at the first row reaching that gap.
     Solvers need at least 3 fitted accuracies; one never reached, or
     reached at a count of 0, is excluded and flagged.  A solver whose count
@@ -546,10 +546,10 @@ def fit_slopes(traces: dict[str, dict[float, list]], metric: str) -> SlopeReport
     if metric not in METRIC_COLUMNS:
         raise ConfigError(f"unknown metric {metric!r}; one of {', '.join(METRIC_COLUMNS)}")
     column = METRIC_COLUMNS[metric]
-    report = SlopeReport(metric=metric, solvers={})
+    fits: dict[str, SolverSlope] = {}
     for label, per_eps in traces.items():
         if all(getattr(row, column) == 0 for rows in per_eps.values() for row in rows):
-            report.solvers[label] = SolverSlope(float("nan"), float("nan"), {}, unused=True)
+            fits[label] = SolverSlope(float("nan"), float("nan"), {}, unused=True)
             continue
         points: dict[float, float] = {}
         excluded: dict[float, float | None] = {}
@@ -560,13 +560,12 @@ def fit_slopes(traces: dict[str, dict[float, list]], metric: str) -> SlopeReport
             else:
                 points[eps] = count
         if len(points) < 3:
-            report.solvers[label] = SolverSlope(float("nan"), float("nan"),
-                                                points, excluded)
+            fits[label] = SolverSlope(float("nan"), float("nan"), points, excluded)
             continue
         eps_values = sorted(points)
         slope, residual = fit_loglog(eps_values, [points[e] for e in eps_values])
-        report.solvers[label] = SolverSlope(slope, residual, points, excluded)
-    return report
+        fits[label] = SolverSlope(slope, residual, points, excluded)
+    return fits
 
 
 _CSV_FIELDS = CSV_HEADER.count(",") + 1
@@ -630,8 +629,8 @@ def _parse_aggregate(path: str) -> dict[str, dict[float, list]]:
     return grouped
 
 
-def fit_slopes_from_csv(path: str, metrics: list[str]) -> list[SlopeReport]:
-    """One slope report per name in ``metrics``, all from a single parse of
-    an aggregate CSV written by ``run_experiment``."""
+def fit_slopes_from_csv(path: str, metrics: list[str]) -> dict[str, dict[str, SolverSlope]]:
+    """The ``fit_slopes`` of each name in ``metrics``, keyed by that name, all
+    from a single parse of an aggregate CSV written by ``run_experiment``."""
     grouped = _parse_aggregate(path)
-    return [fit_slopes(grouped, metric) for metric in metrics]
+    return {metric: fit_slopes(grouped, metric) for metric in metrics}

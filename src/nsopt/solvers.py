@@ -180,11 +180,10 @@ class RunTrace:
     """Per-outer-iteration records of a single solver run, timed from ``started``.
 
     A record is never changed once it is in ``records``; the list itself may
-    grow or be replaced.
+    grow or be replaced.  The ``algorithm`` and ``seed`` columns are not
+    part of the trace: whoever writes it names them.
     """
 
-    algorithm: str
-    seed: int
     records: list[TraceRecord] = field(default_factory=list)
     started: float = field(default_factory=time.perf_counter, repr=False, compare=False)
     # (wall_clock, the records formatted, their fields between algorithm and seed)
@@ -194,8 +193,8 @@ class RunTrace:
     def final(self) -> TraceRecord:
         return self.records[-1]
 
-    def csv_rows(self, wall_clock: bool = False) -> list[str]:
-        """Rows in the stable CSV schema.
+    def csv_rows(self, algorithm: str, seed: int, wall_clock: bool = False) -> list[str]:
+        """Rows in the stable CSV schema, under ``algorithm`` and ``seed``.
 
         ``wall_ms`` is written as 0.0 unless ``wall_clock`` is set, keeping
         output bytes deterministic per configuration; measured times stay
@@ -211,11 +210,10 @@ class RunTrace:
                        f"{float(r.wall_ms if wall_clock else 0.0)!r},"
                        for r in formatted]
             self._formatted = (wall_clock, formatted, bodies)
-        algorithm, seed = self.algorithm, self.seed
         return [f"{algorithm}{body}{seed}" for body in bodies]
 
-    def write_csv(self, path, wall_clock: bool = False) -> None:
-        write_csv_rows(path, self.csv_rows(wall_clock=wall_clock))
+    def write_csv(self, path, algorithm: str, seed: int, wall_clock: bool = False) -> None:
+        write_csv_rows(path, self.csv_rows(algorithm, seed, wall_clock))
 
 
 def write_csv_rows(path, rows) -> None:
@@ -279,8 +277,7 @@ def _trace_step(trace: RunTrace, k: int, counters: OracleCounters, problem,
     """
     f_value = float(problem.value(point))
     if not math.isfinite(f_value):
-        raise NumericalError(f"{trace.algorithm}: a value at step {k} is not finite "
-                             f"(f_value = {f_value!r})")
+        raise NumericalError(f"a value at step {k} is not finite (f_value = {f_value!r})")
     record = TraceRecord(k, *counters.as_tuple(), f_value,
                          f_value - f_ref if f_ref is not None else float("nan"),
                          (time.perf_counter() - trace.started) * 1e3)
@@ -408,15 +405,14 @@ def fw_quadratic_projection(target: np.ndarray, u0: np.ndarray,
 
 
 def _moreau_splitting(problem, oracle, counters: OracleCounters, step,
-                      config: SolverConfig, x0: np.ndarray, algorithm: str,
-                      f_ref: float | None) -> SolverResult:
+                      config: SolverConfig, x0: np.ndarray, f_ref: float | None) -> SolverResult:
     """The accelerated Moreau-splitting loop shared by ``mopes`` and ``moles``.
 
     ``step(target, z_prev, sched)`` is the counted constrained move: an
     (approximate) projection of ``target`` onto the set, started from
     ``z_prev`` where that matters, under the step's ``Schedule``.  The
     unconstrained block resolves its prox subproblem with ``prox_slide``,
-    which never touches the set.
+    which never touches the set.  The trace has one record per outer step.
     """
     sfo = _count_first_order(oracle, counters)
     rng = _philox(config.seed)
@@ -428,7 +424,7 @@ def _moreau_splitting(problem, oracle, counters: OracleCounters, step,
     z = x.copy()
     z_prime = x.copy()
 
-    trace = RunTrace(algorithm, config.seed)
+    trace = RunTrace()
     for k in range(1, total + 1):
         sched = config.schedule(k)
         beta, gamma = sched.beta, sched.gamma
@@ -460,7 +456,7 @@ def mopes(problem, oracle, po: ProjectionOracle, config: SolverConfig, x0: np.nd
     def step(target, z_prev, sched):
         return project(target)
 
-    return _moreau_splitting(problem, oracle, counters, step, config, x0, "mopes", f_ref)
+    return _moreau_splitting(problem, oracle, counters, step, config, x0, f_ref)
 
 
 def moles(problem, oracle, lmo: LinearMinimizationOracle, config: SolverConfig,
@@ -470,8 +466,7 @@ def moles(problem, oracle, lmo: LinearMinimizationOracle, config: SolverConfig,
     Identical to ``mopes`` except the constrained move.  Fixed-budget runs
     consume exactly ``outer_steps * config.fw_budget`` LMO calls; Wolfe
     mode stops each projection at the dual-gap tolerance
-    ``4 c' d_tilde / (lam K k)`` instead, and names its trace
-    ``moles_wolfe``.
+    ``4 c' d_tilde / (lam K k)`` instead.
     """
     x0 = _check_start_point(x0, lmo)
     counters = OracleCounters()
@@ -483,8 +478,7 @@ def moles(problem, oracle, lmo: LinearMinimizationOracle, config: SolverConfig,
         return fw_quadratic_projection(target, z_prev, counted, budget, sched.beta,
                                        sched.wolfe_tol if wolfe else None)
 
-    return _moreau_splitting(problem, oracle, counters, step, config, x0,
-                             "moles_wolfe" if wolfe else "moles", f_ref)
+    return _moreau_splitting(problem, oracle, counters, step, config, x0, f_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +511,7 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
 
     weighted = np.zeros_like(x)
     weight_sum = 0.0
-    trace = RunTrace(f"pgd_{stepsize_rule}", seed)
+    trace = RunTrace()
     diminishing = stepsize_rule == "diminishing"
     alpha = set_diameter / (lipschitz * math.sqrt(steps))
     for k in range(1, steps + 1):
@@ -578,7 +572,7 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
 
     weighted = np.zeros_like(x)
     weight_sum = 0.0
-    trace = RunTrace(f"fw_pgd_{mode}", seed)
+    trace = RunTrace()
     for k in range(1, steps + 1):
         grad = sample(x, rng)
         weighted += alpha * x

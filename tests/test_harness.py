@@ -258,11 +258,11 @@ class TestRunExperiment:
                 f_value, gap = gen.standard_normal(2) * 10.0 ** gen.integers(-8, 9, size=2)
                 records.append(TraceRecord(k, *counts, float(f_value), float(gap),
                                            wall_ms=float(rep)))
-            traces.append(RunTrace("solver", rep, records))
+            traces.append(RunTrace(records))
         means = [TraceRecord(recs[0].k, *(float(np.mean([getattr(r, name) for r in recs]))
                                           for name in columns), wall_ms=0.0)
                  for recs in zip(*(t.records for t in traces))]
-        expected = RunTrace("solver|eps=0.25", 7, means).csv_rows()
+        expected = RunTrace(means).csv_rows("solver|eps=0.25", 7)
         runs = [t.records for t in traces]
         assert list(harness._aggregate_rows({("solver", 0.25): runs}, 7)) == expected
 
@@ -413,16 +413,16 @@ class TestSharedRuns:
                                                   sigma)
                 for rep in range(cfg.repetitions):
                     x0 = descriptor.boundary_point(philox([cfg.seed, 1000003, rep]))
+                    seed = harness._run_seed(cfg.seed, si, ei, rep)
                     alone = harness._run_single(spec, problem, descriptor, oracle, options, x0,
-                                                harness._run_seed(cfg.seed, si, ei, rep),
-                                                manifest["reference_value"])
-                    expected = "".join(f"{row}\n" for row in [CSV_HEADER,
-                                                               *alone.trace.csv_rows()])
+                                                seed, manifest["reference_value"])
+                    label = harness._solver_label(spec)
+                    expected = "".join(f"{row}\n" for row in [
+                        CSV_HEADER, *alone.trace.csv_rows(label, seed)])
                     path = Path(next(files))
-                    assert path.name == f"{harness._solver_label(spec)}_eps{eps:g}_rep{rep}.csv"
+                    assert path.name == f"{label}_eps{eps:g}_rep{rep}.csv"
                     assert path.read_text() == expected
-                    alone_runs.setdefault((harness._solver_label(spec), eps), []).append(
-                        alone.trace.records)
+                    alone_runs.setdefault((label, eps), []).append(alone.trace.records)
         return alone_runs
 
     def test_every_csv_equals_its_own_run(self, tmp_path):
@@ -488,6 +488,18 @@ class TestSharedRuns:
         assert calls == ["pgd_fixed"] * 2  # once per repetition
         self.assert_every_csv_is_its_own_run(cfg, manifest)
 
+    def test_equal_options_share_a_run_beyond_the_first_eps(self, tmp_path, monkeypatch):
+        # eps 1.0 and 1.02 derive the same horizon, which eps 2.0 does not
+        calls = self.counting_runs(monkeypatch)
+        cfg = self.config(tmp_path, [{"name": "pgd"}], epsilons=(2.0, 1.0, 1.02))
+        _, descriptor, lipschitz = build_problem(cfg.problem)
+        assert [math.ceil((2.0 * lipschitz * descriptor.diameter / eps) ** 2)
+                for eps in cfg.epsilons[1:]] == [13, 13]
+        manifest = run_experiment(cfg)
+        assert manifest["failed"] == []
+        assert calls == ["pgd_fixed"] * 4  # once per (distinct options, repetition)
+        self.assert_every_csv_is_its_own_run(cfg, manifest)
+
     def test_failure_of_a_shared_run_fails_every_eps(self, tmp_path, monkeypatch):
         calls = self.counting_runs(monkeypatch)
         cfg = self.config(tmp_path, [{"name": "pgd", "steps": 30}])
@@ -521,21 +533,18 @@ class TestSlopeFits:
         return {"solver": per_eps}
 
     def test_exact_linear_rate(self):
-        report = fit_slopes(self.synthetic_traces(1), "po")
-        entry = report.solvers["solver"]
+        entry = fit_slopes(self.synthetic_traces(1), "po")["solver"]
         assert abs(entry.slope - 1.0) <= 1e-9
         assert entry.residual <= 1e-9
 
     def test_exact_quadratic_rate(self):
-        report = fit_slopes(self.synthetic_traces(2), "po")
-        assert abs(report.solvers["solver"].slope - 2.0) <= 1e-9
+        assert abs(fit_slopes(self.synthetic_traces(2), "po")["solver"].slope - 2.0) <= 1e-9
 
     def test_unreached_accuracy_is_flagged(self):
         traces = self.synthetic_traces(1)
         traces["solver"][0.125] = [SimpleNamespace(gap=1.0, po_calls=5, lmo_calls=5,
                                                    fo_calls=5, sfo_calls=5)]
-        report = fit_slopes(traces, "po")
-        entry = report.solvers["solver"]
+        entry = fit_slopes(traces, "po")["solver"]
         assert entry.excluded == {0.125: None}
         assert math.isnan(entry.slope)
 
@@ -544,7 +553,7 @@ class TestSlopeFits:
         traces = self.synthetic_traces(1)
         traces["solver"][2.0] = [SimpleNamespace(gap=0.42, po_calls=0, lmo_calls=0,
                                                  fo_calls=1, sfo_calls=0)]
-        entry = fit_slopes(traces, "po").solvers["solver"]
+        entry = fit_slopes(traces, "po")["solver"]
         assert entry.excluded == {2.0: 0.0}
         assert 2.0 not in entry.points and abs(entry.slope - 1.0) <= 1e-9
 
@@ -555,18 +564,30 @@ class TestSlopeFits:
         traces["stuck"] = {eps: [SimpleNamespace(gap=1.0, po_calls=5, lmo_calls=0,
                                                  fo_calls=5, sfo_calls=0)]
                            for eps in (0.5, 0.25, 0.125)}
-        report = fit_slopes(traces, "sfo")
-        assert report.solvers["solver"].unused
-        assert report.solvers["stuck"].unused
-        cli._print_slope_report(report)
+        fits = fit_slopes(traces, "sfo")
+        assert fits["solver"].unused
+        assert fits["stuck"].unused
+        cli._print_slope_report("sfo", fits)
         assert capsys.readouterr().out.splitlines() == ["sfo\tsolver\tmetric unused",
                                                         "sfo\tstuck\tmetric unused"]
-        cli._print_slope_report(fit_slopes(traces, "po"))
+        cli._print_slope_report("po", fit_slopes(traces, "po"))
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("po\tsolver\tslope=1.0000")
-        assert lines[1] == "po\tstuck\tslope=nan (fewer than 3 reachable accuracies)"
+        assert lines[1] == ("po\tstuck\tslope=nan "
+                            "(fewer than 3 accuracies reached at a positive count)")
         assert lines[2:] == [f"po\tstuck\texcluded eps={eps:g} (never reached)"
                              for eps in (0.5, 0.25, 0.125)]
+
+    def test_nan_reason_counts_accuracies_reached_at_a_positive_count(self, capsys):
+        # every accuracy is reached, two of them before the first call
+        traces = {"fw": {eps: [SimpleNamespace(gap=eps, po_calls=0, lmo_calls=calls,
+                                               fo_calls=1, sfo_calls=0)]
+                         for eps, calls in ((0.4, 0), (0.3, 0), (0.2, 40))}}
+        cli._print_slope_report("lmo", fit_slopes(traces, "lmo"))
+        assert capsys.readouterr().out.splitlines() == [
+            "lmo\tfw\tslope=nan (fewer than 3 accuracies reached at a positive count)",
+            "lmo\tfw\texcluded eps=0.4 (reached at 0 calls)",
+            "lmo\tfw\texcluded eps=0.3 (reached at 0 calls)"]
 
     def test_unknown_metric(self):
         with pytest.raises(ConfigError):
@@ -578,11 +599,11 @@ class TestSlopeFits:
         parse = harness._parse_aggregate
         monkeypatch.setattr(harness, "_parse_aggregate",
                             lambda path: parses.append(path) or parse(path))
-        reports = fit_slopes_from_csv(manifest["files"][-1], ["po", "fo", "lmo"])
+        fits = fit_slopes_from_csv(manifest["files"][-1], ["po", "fo", "lmo"])
         assert parses == [manifest["files"][-1]]
-        assert [report.metric for report in reports] == ["po", "fo", "lmo"]
-        assert "mopes" in reports[0].solvers and not reports[0].solvers["mopes"].unused
-        assert reports[2].solvers["mopes"].unused
+        assert list(fits) == ["po", "fo", "lmo"]
+        assert "mopes" in fits["po"] and not fits["po"]["mopes"].unused
+        assert fits["lmo"]["mopes"].unused
 
     def test_loglog_residual(self):
         slope, residual = fit_loglog([0.5, 0.25, 0.125], [10.0, 21.0, 39.0])
@@ -828,9 +849,23 @@ class TestCli:
         agg.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
         assert cli.main(["slopes", str(agg), "--metric", "lmo"]) == 0
         assert capsys.readouterr().out.splitlines() == [
-            "lmo\tfw_pgd_wolfe\tslope=nan (fewer than 3 reachable accuracies)",
+            "lmo\tfw_pgd_wolfe\tslope=nan (fewer than 3 accuracies reached at a positive count)",
             "lmo\tfw_pgd_wolfe\texcluded eps=2 (reached at 0 calls)",
             "lmo\tfw_pgd_wolfe\texcluded eps=0.1 (never reached)"]
+
+    def test_slopes_nan_reason_when_every_accuracy_is_reached(self, tmp_path, capsys):
+        # eps 0.4 and 0.3 are reached at the first row, before any LMO call
+        rows = ["fw_pgd_wolfe|eps=0.4,1,1,0,0,0,0.9,0.25,0.0,1",
+                "fw_pgd_wolfe|eps=0.3,1,1,0,0,0,0.9,0.25,0.0,1",
+                "fw_pgd_wolfe|eps=0.2,1,1,0,0,0,0.9,0.25,0.0,1",
+                "fw_pgd_wolfe|eps=0.2,2,2,0,0,40,0.8,0.15,0.0,1"]
+        agg = tmp_path / "aggregate.csv"
+        agg.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+        assert cli.main(["slopes", str(agg), "--metric", "lmo"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "lmo\tfw_pgd_wolfe\tslope=nan (fewer than 3 accuracies reached at a positive count)",
+            "lmo\tfw_pgd_wolfe\texcluded eps=0.4 (reached at 0 calls)",
+            "lmo\tfw_pgd_wolfe\texcluded eps=0.3 (reached at 0 calls)"]
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "absent.json")]) == 2

@@ -695,7 +695,7 @@ class TestDeterminismAndTraces:
                 (rb.k, rb.fo_calls, rb.sfo_calls, rb.po_calls, rb.lmo_calls)
             assert ra.f_value == rb.f_value and ra.gap == rb.gap
         assert np.array_equal(a.x, b.x)
-        assert a.trace.csv_rows() == b.trace.csv_rows()
+        assert a.trace.csv_rows("mopes", 11) == b.trace.csv_rows("mopes", 11)
 
     def test_counters_match_final_row(self):
         # no oracle call is spent after the row that reports the returned point,
@@ -739,17 +739,17 @@ class TestDeterminismAndTraces:
                                        dist_estimate=0.5, domain_radius=2.0, seed=2)
         res = mopes(inst, fo, po, cfg, np.array([1.0]), f_ref=0.0)
         path = tmp_path / "trace.csv"
-        res.trace.write_csv(path)
+        res.trace.write_csv(path, "mopes|eps=0.3", 2)
         lines = path.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == cfg.outer_steps + 1
         for line in lines[1:]:
             fields = line.split(",")
             assert len(fields) == 10
-            assert fields[0] == "mopes"
+            assert fields[0] == "mopes|eps=0.3" and fields[-1] == "2"
             assert all(np.isfinite(float(v)) for v in fields[1:])
             assert float(fields[8]) == 0.0  # deterministic placeholder
-        timed = res.trace.csv_rows(wall_clock=True)
+        timed = res.trace.csv_rows("mopes", 2, wall_clock=True)
         assert any(float(row.split(",")[8]) > 0.0 for row in timed)
 
     def test_record_fields_are_the_numeric_csv_columns(self):
@@ -761,22 +761,23 @@ class TestDeterminismAndTraces:
         def record(k, scale=1.0):
             return TraceRecord(k, k, 2 * k, k, 0, scale / k, scale / (3 * k), 0.25 * k)
 
-        trace = RunTrace("mopes", 3, [record(k) for k in range(1, 6)])
+        trace = RunTrace([record(k) for k in range(1, 6)])
+        name = ("mopes", 3)
 
         def fresh(wall_clock=False):
-            return RunTrace(trace.algorithm, trace.seed, list(trace.records)).csv_rows(wall_clock)
+            return RunTrace(list(trace.records)).csv_rows(*name, wall_clock)
 
-        assert trace.csv_rows() == fresh()
-        trace.seed, trace.algorithm = 9, "pgd_fixed|eps=0.5"
-        assert trace.csv_rows() == fresh()
-        assert trace.csv_rows(wall_clock=True) == fresh(wall_clock=True) != fresh()
-        assert trace.csv_rows() == fresh()
+        assert trace.csv_rows(*name) == fresh()
+        name = ("pgd_fixed|eps=0.5", 9)
+        assert trace.csv_rows(*name) == fresh()
+        assert trace.csv_rows(*name, wall_clock=True) == fresh(wall_clock=True) != fresh()
+        assert trace.csv_rows(*name) == fresh()
         trace.records.append(record(6))
-        assert trace.csv_rows() == fresh() and len(fresh()) == 6
+        assert trace.csv_rows(*name) == fresh() and len(fresh()) == 6
         trace.records[2] = record(3, scale=2.0)
-        assert trace.csv_rows() == fresh()
+        assert trace.csv_rows(*name) == fresh()
         trace.records = trace.records[:2]
-        assert trace.csv_rows() == fresh() and len(fresh()) == 2
+        assert trace.csv_rows(*name) == fresh() and len(fresh()) == 2
 
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         inst, fo, sd = abs_problem(0.6)
@@ -784,20 +785,20 @@ class TestDeterminismAndTraces:
         cfg = SolverConfig.from_target(0.3, 1.0, sd.diameter, method="mopes",
                                        dist_estimate=0.5, domain_radius=2.0, seed=2)
         trace = mopes(inst, fo, po, cfg, np.array([1.0])).trace
-        rows = trace.csv_rows()
+        rows = trace.csv_rows("mopes", 2)
 
-        def rows_then_failure(wall_clock=False):
+        def rows_then_failure(algorithm, seed, wall_clock=False):
             yield from rows[:3]
             raise OSError("disk full")
 
         monkeypatch.setattr(trace, "csv_rows", rows_then_failure)
         fresh = tmp_path / "fresh.csv"
         with pytest.raises(OSError, match="disk full"):
-            trace.write_csv(fresh)
+            trace.write_csv(fresh, "mopes", 2)
         assert os.listdir(tmp_path) == []
         kept = tmp_path / "kept.csv"
         kept.write_text("earlier contents\n")
         with pytest.raises(OSError, match="disk full"):
-            trace.write_csv(kept)
+            trace.write_csv(kept, "mopes", 2)
         assert os.listdir(tmp_path) == ["kept.csv"]
         assert kept.read_text() == "earlier contents\n"
