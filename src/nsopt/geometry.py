@@ -63,7 +63,7 @@ def lmo_l1_ball(g: np.ndarray, radius: float) -> np.ndarray:
     """
     g = np.asarray(g, dtype=float)
     i = np.abs(g).argmax()
-    s = np.zeros_like(g)
+    s = np.zeros(g.shape)  # float, as ``g`` is; zeros_like costs twice as much
     s[i] = -radius if g[i] >= 0 else radius
     return s
 

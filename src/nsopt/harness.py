@@ -440,6 +440,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     of the repetition under its own run seed: the bytes a run of its own
     would write, from rows formatted once.  A failure of the
     shared run fails it at every such accuracy, with the same message.
+
+    Each entry's aggregate rows are written, and its records freed, when
+    its last run ends; the file replaces ``aggregate.csv`` only after the
+    last entry, as ``write_csv_rows`` does, so an error leaves no partial one.
     """
     problem, descriptor, lipschitz = build_problem(config.problem)
     plans = []
@@ -453,14 +457,16 @@ def run_experiment(config: ExperimentConfig) -> dict:
     starts = [descriptor.boundary_point(_philox([config.seed, 1000003, rep]))
               for rep in range(config.repetitions)]
     manifest = {"reference_value": f_ref, "files": [], "runs": [], "failed": []}
-    groups: dict[tuple[str, float], list[list[TraceRecord]]] = {}
-    for si, (spec, oracle, options) in enumerate(plans):
+
+    def entry_rows(si: int, spec: dict, oracle, options: list) -> Iterator[str]:
+        """Run and write every run of entry ``si``; yield its aggregate rows."""
         label = _solver_label(spec)
         # The eps whose run each eps writes: the first with equal options,
         # unless the run draws from its seed.
         firsts = [ei if spec["batch_size"] else options.index(opts)
                   for ei, opts in enumerate(options)]
         outcomes: dict[tuple[int, int], RunTrace | NumericalError] = {}  # by (first, rep)
+        groups: dict[tuple[str, float], list[list[TraceRecord]]] = {}
         for ei, eps in enumerate(config.epsilons):
             first = firsts[ei]
             for rep in range(config.repetitions):
@@ -484,8 +490,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 manifest["files"].append(path)
                 manifest["runs"].append({"run": run_id, "status": "ok"})
                 groups.setdefault((label, eps), []).append(outcome.records)
+        yield from _aggregate_rows(groups, config.seed)
+
     agg_path = os.path.join(out_dir, "aggregate.csv")
-    write_csv_rows(agg_path, _aggregate_rows(groups, config.seed))
+    write_csv_rows(agg_path, (row for si, plan in enumerate(plans)
+                              for row in entry_rows(si, *plan)))
     manifest["files"].append(agg_path)
     return manifest
 

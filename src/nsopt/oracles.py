@@ -56,7 +56,7 @@ class FirstOrderOracle:
 
     ``sample(x, rng)`` returns the subgradient of ``evaluate(x)`` and draws
     nothing, so the oracle also serves as a zero-variance stochastic one;
-    it calls ``evaluate_fn``, so a counted oracle counts it as an FO call.
+    a counted oracle's ``sample`` counts an FO call.
     """
 
     def __init__(self, evaluate_fn, lipschitz_bound: float | None = None):
@@ -121,6 +121,9 @@ def wrap_counting(oracle, counters: OracleCounters):
 
     The copy's function is a closure over the original oracle's function,
     so a counted query costs one Python call more than an uncounted one.
+    A counted ``FirstOrderOracle``'s ``sample`` is a closure of its own that
+    counts an FO call and calls the original ``evaluate`` once, so that an
+    inner-loop subgradient is two calls deep: that closure and ``evaluate``.
     Returned values are passed through untouched, so wrapped and unwrapped
     oracles are numerically indistinguishable; bounds and set descriptors
     carry over.
@@ -132,7 +135,13 @@ def wrap_counting(oracle, counters: OracleCounters):
             counters.fo_calls += 1
             return evaluate(x)
 
-        return FirstOrderOracle(counted_evaluate, oracle.lipschitz_bound)
+        def counted_sample(x, rng):
+            counters.fo_calls += 1
+            return evaluate(x)[1]
+
+        counted = FirstOrderOracle(counted_evaluate, oracle.lipschitz_bound)
+        counted.sample = counted_sample
+        return counted
     if isinstance(oracle, StochasticFirstOrderOracle):
         sample = oracle.sample
 

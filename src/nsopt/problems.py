@@ -34,6 +34,7 @@ class PiecewiseLinearInstance:
             raise ValueError("slopes must be (m, d) with matching intercepts (m,)")
         self.minimizer = None if minimizer is None else np.asarray(minimizer, dtype=float)
         self.min_value = min_value
+        self._point_shape = (self.slopes.shape[1],)  # compared on every oracle call
 
     @property
     def dim(self) -> int:
@@ -47,7 +48,7 @@ class PiecewiseLinearInstance:
         return float((self.slopes @ x + self.intercepts).max())
 
     def value_and_subgradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        if x.shape != (self.dim,):
+        if x.shape != self._point_shape:
             raise ValueError(f"expected point of dimension {self.dim}, got shape {x.shape}")
         scores = self.slopes @ x
         scores += self.intercepts

@@ -290,6 +290,10 @@ def _trace_step(trace: RunTrace, k: int, counters: OracleCounters, problem,
 # ---------------------------------------------------------------------------
 
 
+# Doubles of iterates that prox_slide holds for its average (one iterate if longer).
+_AVERAGE_BLOCK = 4096
+
+
 def prox_slide(sfo, g: np.ndarray, u0: np.ndarray, beta: float, iterations: int,
                radius: float, rng) -> tuple[np.ndarray, np.ndarray]:
     """Sliding inner loop: approximately resolve ``prox_{f/beta}(u0 - g/beta)``.
@@ -299,54 +303,63 @@ def prox_slide(sfo, g: np.ndarray, u0: np.ndarray, beta: float, iterations: int,
 
         ``u_t = P_{B(0,R)}( u_{t-1} - (g_t + beta (u_{t-1} - target)) / ((1 + t/2) beta) )``
 
-    with ``target = u0 - g/beta`` and running average
+    with ``target = u0 - g/beta``.  Returns the last iterate and the weighted
+    average ``sum_t 2(t+1) u_t / (T(T+3))``, which is the running average
     ``avg_t = (1 - theta_t) avg_{t-1} + theta_t u_t`` for
-    ``theta_t = 2(t+1) / (t(t+3))``, which equals the weighted sum
-    ``sum_t 2(t+1) u_t / (T(T+3))``.  Consumes exactly ``iterations``
-    subgradient calls and no set-oracle calls.  Returns the last iterate
-    and the average.  A step whose iterate has a NaN or infinite norm raises
-    ``NumericalError``.
+    ``theta_t = 2(t+1) / (t(t+3))``.  Consumes exactly ``iterations``
+    subgradient calls and no set-oracle calls.  A step whose iterate has a
+    NaN or infinite norm raises ``NumericalError``.
+
+    The loop carries ``w = u - target`` (set again after a clip), so a step
+    is ``w <- (t/(t+2)) w - g_t / ((1 + t/2) beta)``, ``u_t = w + target``:
+    the update above, rounded differently.  Each ``u_t`` goes to the next row
+    of a block of at most ``_AVERAGE_BLOCK`` doubles, and each full block,
+    and the last rows, enter the sum as one ``weights @ rows``.
 
     ``sfo`` is any oracle with ``sample(x, rng)``: a stochastic oracle, or a
-    ``FirstOrderOracle``, whose ``sample`` draws nothing.  The iterate lives
-    in two buffers that take turns at every step, so the point handed to
-    ``sfo.sample`` is overwritten by a later step: an oracle that keeps a
-    query point must copy it.  ``u0`` and ``g`` are only read.
+    ``FirstOrderOracle``, whose ``sample`` draws nothing.  From the second
+    step on, the point handed to ``sfo.sample`` is a block row, which a later
+    step overwrites: an oracle that keeps a query point must copy it.
+    ``u0`` and ``g`` are only read; the returned arrays are new.
     """
     if iterations < 1:
         raise ValueError("iteration budget must be a positive integer")
     if beta <= 0:
         raise ValueError("beta must be positive")
     u = np.array(u0, dtype=float, copy=True)
-    avg = u.copy()
     target = u0 - g / beta
-    spare, step, scaled = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    w = u - target
+    block = np.empty((min(iterations, max(1, _AVERAGE_BLOCK // u.size)), u.size))
+    rows, per_block = list(block), len(block)
+    total = np.zeros_like(u)
+    spare, scaled = np.empty_like(u), np.empty_like(u)
     subtract, multiply, add = np.subtract, np.multiply, np.add
     sample = sfo.sample
     radius_sq = radius * radius
-    # The updates round exactly as ``u - (ghat + beta (u - target))
-    # * (1 / ((1 + t/2) beta))`` and ``(1 - theta) avg + theta u`` do: keep
-    # their operations and order, or every trace changes in its last bits.
-    # Apart from the clip, no update writes into one of its own inputs: on a
-    # one-element array numpy takes a slow overlap path for that, which
-    # costs about 1 us per operation.
+    # The bits of every splitting trace follow from these operations, their
+    # order and the block length.  Apart from the clip and the block sum, no
+    # operation writes into one of its own inputs: on a one-element array
+    # numpy takes a slow overlap path for that, which costs about 1 us.
+    filled = 0  # rows written since the block last entered the sum
     for t in range(1, iterations + 1):
         ghat = sample(u, rng)
-        subtract(u, target, out=step)
-        multiply(step, beta, out=scaled)
-        add(scaled, ghat, out=step)
-        multiply(step, 1.0 / ((1.0 + 0.5 * t) * beta), out=scaled)
-        u, spare = subtract(u, scaled, out=spare), u
+        multiply(w, t / (t + 2.0), out=spare)
+        multiply(ghat, 1.0 / ((1.0 + 0.5 * t) * beta), out=scaled)
+        subtract(spare, scaled, out=w)
+        u = add(w, target, out=rows[filled])
         nrm_sq = u.dot(u)
         if not nrm_sq <= radius_sq:  # also true for a NaN norm
             if not math.isfinite(nrm_sq):
                 raise NumericalError(f"prox_slide: the iterate's norm at inner step {t} "
                                      f"is not finite ({nrm_sq!r})")
             u *= radius / math.sqrt(nrm_sq)
-        theta = 2.0 * (t + 1) / (t * (t + 3))
-        multiply(avg, 1.0 - theta, out=step)
-        add(step, multiply(u, theta, out=scaled), out=avg)
-    return u, avg
+            subtract(u, target, out=w)
+        filled += 1
+        if filled == per_block or t == iterations:  # weights t + 1; the 2 is in the scale
+            total += np.arange(t - filled + 2, t + 2, dtype=float) @ block[:filled]
+            filled = 0
+    total *= 2.0 / (iterations * (iterations + 3))
+    return u.copy(), total
 
 
 def fw_quadratic_projection(target: np.ndarray, u0: np.ndarray,
@@ -364,10 +377,10 @@ def fw_quadratic_projection(target: np.ndarray, u0: np.ndarray,
     combination of LMO vertices plus the start point, hence feasible.  A
     NaN or infinite entry of ``target`` raises ``NumericalError``.
 
-    The iterate takes turns between two buffers, as in ``prox_slide``: each
-    of the three operations of the update writes into the buffer that is
-    not its input, which on a one-element array spares numpy's slow overlap
-    path, and rounds as ``((t - 1) u + 2 s) / (t + 1)`` does.
+    The iterate takes turns between two buffers: each of the three
+    operations of the update writes into the buffer that is not its input,
+    which on a one-element array spares numpy's slow overlap path, and
+    rounds as ``((t - 1) u + 2 s) / (t + 1)`` does.
     """
     if (budget is None) == (wolfe_tol is None):
         raise ValueError("specify exactly one of budget or wolfe_tol")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -447,6 +448,43 @@ class TestSharedRuns:
                                    for row in harness._aggregate_rows({group: runs}, cfg.seed)]
         assert Path(manifest["files"][-1]).read_text().splitlines() == expected
         assert {label for label, _ in alone_runs} == {"pgd_fixed", "mopes"}
+
+    def test_an_entrys_traces_are_freed_before_the_next_entry_runs(self, tmp_path,
+                                                                   monkeypatch):
+        run_single = harness._run_single
+        refs, alive_at_second = [], []
+
+        def watched(spec, *args):
+            if spec is cfg.solvers[1] and not alive_at_second:
+                alive_at_second.append([ref() is not None for ref in refs])
+            result = run_single(spec, *args)
+            if spec is cfg.solvers[0]:  # the trace, and a record its rows average
+                refs.extend([weakref.ref(result.trace), weakref.ref(result.trace.final)])
+            return result
+
+        monkeypatch.setattr(harness, "_run_single", watched)
+        cfg = self.config(tmp_path, [{"name": "pgd", "steps": 30, "batch_size": 2},
+                                     {"name": "mopes", "dist_estimate": 0.5}])
+        manifest = run_experiment(cfg)
+        assert manifest["failed"] == []
+        assert alive_at_second == [[False] * 12]  # three eps, two repetitions
+
+    def test_a_failing_entry_leaves_no_aggregate_file(self, tmp_path, monkeypatch):
+        run_single = harness._run_single
+
+        def failing(spec, *args):
+            if spec["name"] == "mopes":
+                raise RuntimeError("stop")
+            return run_single(spec, *args)
+
+        monkeypatch.setattr(harness, "_run_single", failing)
+        cfg = self.config(tmp_path, [{"name": "pgd", "steps": 30},
+                                     {"name": "mopes", "dist_estimate": 0.5}])
+        with pytest.raises(RuntimeError, match="stop"):
+            run_experiment(cfg)
+        names = sorted(path.name for path in (tmp_path / "out").iterdir())
+        assert names == sorted(f"pgd_fixed_eps{eps:g}_rep{rep}.csv"
+                               for eps in cfg.epsilons for rep in range(cfg.repetitions))
 
     def test_algorithm_column_is_the_file_label(self, tmp_path):
         solvers = [*self.SOLVERS, {"name": "moles", "dist_estimate": 1.0},

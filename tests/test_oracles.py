@@ -47,6 +47,37 @@ def test_counters_are_independent():
     assert counters.as_tuple() == (2, 0, 0, 1)
 
 
+def test_counted_fo_sample_is_one_counted_evaluate(rng):
+    """A counted ``FirstOrderOracle``'s ``sample`` calls the wrapped
+    ``evaluate`` once, as the benchmark's traced oracle needs, counts one FO
+    call and returns that call's subgradient untouched; the uncounted
+    oracle's ``sample`` counts nothing."""
+    pw = synth_piecewise_linear(5, 6, 3)
+    points, grads = [], []
+
+    def evaluate(x):
+        points.append(x.copy())
+        value, grad = pw.value_and_subgradient(x)
+        grads.append(grad.copy())  # a fresh array per call, unlike a slope row
+        return value, grads[-1]
+
+    counters = OracleCounters()
+    plain = FirstOrderOracle(evaluate, pw.lipschitz_bound)
+    counted = wrap_counting(plain, counters)
+    for i in range(1, 21):
+        x = rng.standard_normal(5)
+        got = counted.sample(x, None)
+        assert len(points) == i and np.array_equal(points[-1], x)
+        assert counters.as_tuple() == (i, 0, 0, 0)
+        assert got is grads[-1]
+        expected = pw.value_and_subgradient(x)[1]
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    for i in range(1, 6):
+        plain.sample(rng.standard_normal(5), None)
+        assert len(points) == 20 + i
+    assert counters.as_tuple() == (20, 0, 0, 0)
+
+
 def test_wrap_counting_never_changes_results(rng):
     pw = synth_piecewise_linear(4, 5, 1)
     sd = l1_ball(4, 1.0)

@@ -181,6 +181,37 @@ class TestProxSlide:
         expected = (weights[:, None] * np.stack(iterates)).sum(axis=0)
         assert_allclose(got_avg, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("block", ["one_step", "two_steps", "full_block", "block_and_one"])
+    def test_average_is_the_exact_weighted_sum(self, block):
+        """The average equals ``sum_t 2(t+1) u_t / (T(T+3))`` of the recorded
+        iterates, summed exactly by ``math.fsum``, to 1e-12 relative, at
+        ``T`` inside one block of the average and across two."""
+        d = 20
+        rows = nsopt.solvers._AVERAGE_BLOCK // d
+        steps = {"one_step": 1, "two_steps": 2, "full_block": rows,
+                 "block_and_one": rows + 1}[block]
+        fo = FirstOrderOracle.from_instance(synth_piecewise_linear(d, 12, 3))
+        queried = []
+
+        class Recorder:
+            def sample(self, x, gen):
+                queried.append(x.copy())
+                return fo.evaluate(x)[1]
+
+        # u_t is a convex combination of u_{t-1} and target - g_t / beta, whose
+        # entries are at least 3 - 1/2 (every subgradient has norm at most 1),
+        # so from a positive u0 every term of a coordinate's sum is positive:
+        # the sum has no cancellation, and a relative bound is meaningful.
+        beta, u0 = 2.0, np.full(d, 0.5)
+        g = beta * (u0 - 3.0)
+        last, avg = prox_slide(Recorder(), g, u0, beta, steps, 1e6, philox(0))
+        iterates = queried[1:] + [last]  # u_1, ..., u_T: sample sees u_0 first
+        assert len(iterates) == steps and min(u.min() for u in iterates) > 0.0
+        scale = steps * (steps + 3)
+        expected = [math.fsum(2.0 * (t + 1) * u[i] / scale for t, u in enumerate(iterates, 1))
+                    for i in range(d)]
+        assert_allclose(avg, expected, rtol=1e-12, atol=0.0)
+
     def test_consumes_exact_subgradient_budget(self):
         _, fo, _ = abs_problem(0.0)
         sampler = FoSampler(fo)
@@ -303,22 +334,31 @@ class TestFwQuadraticProjection:
 
 def allocating_prox_slide(sfo, g, u0, beta, iterations, radius, rng):
     """``prox_slide`` with one new array per operation, the form its in-place
-    update must equal bit for bit; also returns how many steps clipped."""
+    update and blocked average must equal bit for bit: the shifted update,
+    then the weighted sum of each block of ``_AVERAGE_BLOCK // d`` iterates
+    added in as one product.  Also returns how many steps clipped."""
     u = np.array(u0, dtype=float, copy=True)
-    avg = u.copy()
     target = u0 - g / beta
+    w = u - target
     radius_sq = radius * radius
     clips = 0
+    iterates = []
     for t in range(1, iterations + 1):
         ghat = sfo.sample(u, rng)
-        u = u - (ghat + beta * (u - target)) * (1.0 / ((1.0 + 0.5 * t) * beta))
+        w = (t / (t + 2.0)) * w - ghat * (1.0 / ((1.0 + 0.5 * t) * beta))
+        u = w + target
         nrm_sq = float(u @ u)
         if nrm_sq > radius_sq:
-            u *= radius / math.sqrt(nrm_sq)
+            u = u * (radius / math.sqrt(nrm_sq))
+            w = u - target
             clips += 1
-        theta = 2.0 * (t + 1) / (t * (t + 3))
-        avg = (1.0 - theta) * avg + theta * u
-    return u, avg, clips
+        iterates.append(u)
+    rows = max(1, nsopt.solvers._AVERAGE_BLOCK // u.size)
+    total = np.zeros_like(u)
+    for start in range(0, iterations, rows):
+        block = np.array(iterates[start:start + rows])
+        total = total + np.arange(start + 2, start + len(block) + 2, dtype=float) @ block
+    return u, total * (2.0 / (iterations * (iterations + 3))), clips
 
 
 def allocating_fw_projection(target, u0, lmo, budget=None, beta=1.0, wolfe_tol=None):
@@ -347,9 +387,11 @@ class TestInPlaceInnerLoops:
     """``prox_slide`` and ``fw_quadratic_projection`` reuse their buffers and
     still give the bits of their allocating forms, leaving inputs alone."""
 
+    # d=1 with 5000 steps and d=100 with 100 steps fill more than one block
+    # of the average (4096 and 40 rows)
     @pytest.mark.parametrize("oracle", ["fo", "sfo"])
-    @pytest.mark.parametrize("d", [1, 20, 100])
-    @pytest.mark.parametrize("iterations", [1, 2, 50])
+    @pytest.mark.parametrize("iterations, d", [(i, d) for d in (1, 20, 100) for i in (1, 2, 50)]
+                             + [(5000, 1), (100, 100)])
     @pytest.mark.parametrize("clip", [True, False])
     def test_prox_slide_matches_allocating_form(self, oracle, d, iterations, clip):
         gen = philox((d, iterations))
