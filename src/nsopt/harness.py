@@ -63,16 +63,6 @@ _REQUIRED = object()  # the default of a key that a config must give
 MAX_RUN_CALLS = 10 ** 12
 
 
-def _integer(value) -> int:
-    """An int, or a float with an integral value; a bool, a string or a
-    fraction is rejected instead of being truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected an integer, not {value!r}")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, not {value!r}")
-    return int(value)
-
-
 def _boolean(value) -> bool:
     """JSON ``true`` or ``false`` only: ``bool("false")`` would read as true."""
     if not isinstance(value, bool):
@@ -81,9 +71,14 @@ def _boolean(value) -> bool:
 
 
 def _at_least(low: int):
-    """An ``_integer`` that is at least ``low``."""
+    """An int, or a float with an integral value, that is at least ``low``; a
+    bool, a string or a fraction is rejected instead of being truncated."""
     def convert(value):
-        value = _integer(value)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"expected an integer, not {value!r}")
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"expected an integer, not {value!r}")
+        value = int(value)
         if value < low:
             raise ValueError(f"must be at least {low}, not {value}")
         return value
@@ -160,7 +155,8 @@ def _read(where: str, raw, table: dict, tag: str | None = None) -> dict:
 # level, as ``key: (conversion, default)``.  Any other key is rejected, so a
 # typo cannot fall back to a default.  Only a matrix-shaped problem takes
 # the nuclear ball.
-_PROBLEM_SHARED = {"kind": (str, _REQUIRED), "radius": (_positive, 1.0), "seed": (_integer, 0)}
+_PROBLEM_SHARED = {"kind": (str, _REQUIRED), "radius": (_positive, 1.0),
+                   "seed": (_at_least(0), 0)}
 _VECTOR_SET = {"set": (_choice("l1_ball", "l2_ball"), "l1_ball")}
 PROBLEM_KEYS = {
     "piecewise_linear": _PROBLEM_SHARED | _VECTOR_SET | {
@@ -186,7 +182,7 @@ SOLVER_KEYS = {
                            "max_lmo": (_positive, None), "target_gap": (_real, None)},
 }
 CONFIG_KEYS = {
-    "seed": (_integer, 0),
+    "seed": (_at_least(0), 0),
     "output_dir": (str, "nsopt_out"),
     "repetitions": (_at_least(1), 1),
     "epsilons": (_list_of(_positive), _REQUIRED),
@@ -396,33 +392,20 @@ _NUMERIC_FIELDS = CSV_HEADER.split(",")[1:-1]  # the fields of a TraceRecord
 _MEAN_COLUMNS = operator.attrgetter(*_NUMERIC_FIELDS[1:-1])
 
 
-def _aggregate_rows(groups: dict[tuple[str, float], list[list[TraceRecord]]],
-                    seed: int) -> Iterator[str]:
-    """Yield the aggregate CSV rows of ``groups``, which maps each ``(label, eps)``
-    to the records of its repetitions: per group, the mean across
-    repetitions, aligned by row index and cut to the shortest run (an
-    early-stopped ``fw_pgd`` run is shorter), written as algorithm
-    ``label|eps=`` under the experiment ``seed``.
+def _mean_trace(runs: list[RunTrace]) -> RunTrace:
+    """The per-row mean of the traces ``runs``, aligned by row index and cut to
+    the shortest (an early-stopped ``fw_pgd`` run is shorter), with ``wall_ms`` 0.
 
     The values form one C-contiguous ``(rows, columns, repetitions)`` array,
     so ``mean(axis=-1)`` sums each row's repetitions with the same pairwise
     summation as ``np.mean`` of their list, bit for bit; a reduction over a
-    leading axis would add them in another order.  A group of the same
-    record lists as an earlier group (a run shared across accuracies) takes
-    that group's means, formatted once, under its own tag.  Rows are
-    yielded group by group, so that all of them are never held at once.
+    leading axis would add them in another order.
     """
-    means: dict[tuple[int, ...], RunTrace] = {}  # by the identities of the lists averaged
-    for (label, eps), runs in groups.items():
-        mean = means.get(key := tuple(map(id, runs)))
-        if mean is None:
-            length = min(map(len, runs))
-            values = np.stack([np.array(list(map(_MEAN_COLUMNS, records[:length])), dtype=float)
-                               for records in runs], axis=-1)
-            mean = means[key] = RunTrace([
-                TraceRecord(r.k, *row, wall_ms=0.0)
-                for r, row in zip(runs[0], values.mean(axis=-1).tolist())])
-        yield from mean.csv_rows(f"{label}|eps={eps!r}", seed)
+    length = min(len(run.records) for run in runs)
+    values = np.stack([np.array(list(map(_MEAN_COLUMNS, run.records[:length])), dtype=float)
+                       for run in runs], axis=-1)
+    return RunTrace([TraceRecord(r.k, *row, wall_ms=0.0)
+                     for r, row in zip(runs[0].records, values.mean(axis=-1).tolist())])
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -441,9 +424,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     would write, from rows formatted once.  A failure of the
     shared run fails it at every such accuracy, with the same message.
 
-    Each entry's aggregate rows are written, and its records freed, when
-    its last run ends; the file replaces ``aggregate.csv`` only after the
-    last entry, as ``write_csv_rows`` does, so an error leaves no partial one.
+    An accuracy's aggregate rows follow its runs; the mean of a shared run is
+    computed once, and its records are freed after the last accuracy that
+    writes them.  The file replaces ``aggregate.csv`` only after the last
+    entry, as ``write_csv_rows`` does, so an error leaves no partial one.
     """
     problem, descriptor, lipschitz = build_problem(config.problem)
     plans = []
@@ -465,22 +449,22 @@ def run_experiment(config: ExperimentConfig) -> dict:
         # unless the run draws from its seed.
         firsts = [ei if spec["batch_size"] else options.index(opts)
                   for ei, opts in enumerate(options)]
-        outcomes: dict[tuple[int, int], RunTrace | NumericalError] = {}  # by (first, rep)
-        groups: dict[tuple[str, float], list[list[TraceRecord]]] = {}
+        # By the eps in ``firsts``: each repetition's trace or error, and the
+        # mean of the traces; dropped after the last eps that writes them.
+        table: dict[int, tuple[list, RunTrace | None]] = {}
         for ei, eps in enumerate(config.epsilons):
             first = firsts[ei]
+            outcomes, mean = table.get(first, ([], None))
             for rep in range(config.repetitions):
                 run_id = f"{label}_eps{eps:g}_rep{rep}"
                 seed = _run_seed(config.seed, si, ei, rep)
-                outcome = outcomes.get((first, rep))
-                if outcome is None:
+                if first == ei:
                     try:
-                        outcome = _run_single(spec, problem, descriptor, oracle, options[ei],
-                                              starts[rep], seed, f_ref).trace
+                        outcomes.append(_run_single(spec, problem, descriptor, oracle,
+                                                    options[ei], starts[rep], seed, f_ref).trace)
                     except NumericalError as exc:
-                        outcome = exc
-                    if first in firsts[ei + 1:]:  # kept only for a later eps to write
-                        outcomes[first, rep] = outcome
+                        outcomes.append(exc)
+                outcome = outcomes[rep]
                 if isinstance(outcome, NumericalError):
                     manifest["failed"].append({"run": run_id, "error": str(outcome)})
                     manifest["runs"].append({"run": run_id, "status": "failed"})
@@ -489,8 +473,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 outcome.write_csv(path, label, seed, wall_clock=config.record_wall_time)
                 manifest["files"].append(path)
                 manifest["runs"].append({"run": run_id, "status": "ok"})
-                groups.setdefault((label, eps), []).append(outcome.records)
-        yield from _aggregate_rows(groups, config.seed)
+            if first == ei:
+                traces = [outcome for outcome in outcomes if isinstance(outcome, RunTrace)]
+                mean = _mean_trace(traces) if traces else None
+                table[first] = outcomes, mean
+            if first not in firsts[ei + 1:]:
+                del table[first]
+            if mean is not None:
+                yield from mean.csv_rows(f"{label}|eps={eps!r}", config.seed)
 
     agg_path = os.path.join(out_dir, "aggregate.csv")
     write_csv_rows(agg_path, (row for si, plan in enumerate(plans)
@@ -605,7 +595,8 @@ def _parse_aggregate(path: str) -> dict[str, dict[float, list]]:
     Raises ``FormatError`` naming the path and line on a wrong header, a
     row with the wrong number of fields, a field that is not a number, a
     NaN or infinite field, a negative step, count or wall time, or a row
-    tag without an ``|eps=`` accuracy marker.
+    tag without an ``|eps=`` accuracy marker or with an accuracy that is
+    not positive and finite.
     """
     grouped: dict[str, dict[float, list]] = {}
     numbers: list[float] = []  # the numeric fields of the rows from line ``first``
@@ -624,7 +615,11 @@ def _parse_aggregate(path: str) -> dict[str, dict[float, list]]:
                     label, marker, eps_part = tag.partition("|eps=")
                     if not marker:
                         raise ValueError(f"row tag {tag!r} lacks an accuracy marker")
-                    rows = grouped.setdefault(label, {}).setdefault(float(eps_part), [])
+                    eps = float(eps_part)
+                    if not 0.0 < eps < math.inf:
+                        raise ValueError(f"row tag {tag!r}: accuracy {eps!r} is not "
+                                         "positive and finite")
+                    rows = grouped.setdefault(label, {}).setdefault(eps, [])
                 int(parts[-1])  # slope fits do not read the seed, but it must be one
                 fields = [*map(float, parts[1:-1])]
             except ValueError as exc:

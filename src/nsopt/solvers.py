@@ -175,19 +175,20 @@ class TraceRecord:
     wall_ms: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunTrace:
-    """Per-outer-iteration records of a single solver run, timed from ``started``.
+    """The per-outer-iteration records of a single solver run, as a tuple.
 
-    A record is never changed once it is in ``records``; the list itself may
-    grow or be replaced.  The ``algorithm`` and ``seed`` columns are not
-    part of the trace: whoever writes it names them.
+    The ``algorithm`` and ``seed`` columns are not part of the trace:
+    whoever writes it names them.
     """
 
-    records: list[TraceRecord] = field(default_factory=list)
-    started: float = field(default_factory=time.perf_counter, repr=False, compare=False)
-    # (wall_clock, the records formatted, their fields between algorithm and seed)
-    _formatted: tuple = field(default=(None, [], []), init=False, repr=False, compare=False)
+    records: tuple[TraceRecord, ...]
+    # the fields between algorithm and seed of every record, by wall_clock
+    _bodies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "records", tuple(self.records))
 
     @property
     def final(self) -> TraceRecord:
@@ -199,17 +200,16 @@ class RunTrace:
         ``wall_ms`` is written as 0.0 unless ``wall_clock`` is set, keeping
         output bytes deterministic per configuration; measured times stay
         available on the in-memory records.  The fields between the
-        algorithm and the seed are formatted once per list of records, so a
+        algorithm and the seed are formatted once per ``wall_clock``, so a
         trace written again under another seed or algorithm only joins them.
         """
-        formatted_clock, formatted, bodies = self._formatted
-        if formatted_clock != wall_clock or formatted != self.records:
-            formatted = list(self.records)
-            bodies = [f",{r.k},{r.fo_calls},{r.sfo_calls},{r.po_calls},{r.lmo_calls},"
-                       f"{float(r.f_value)!r},{float(r.gap)!r},"
-                       f"{float(r.wall_ms if wall_clock else 0.0)!r},"
-                       for r in formatted]
-            self._formatted = (wall_clock, formatted, bodies)
+        bodies = self._bodies.get(wall_clock)
+        if bodies is None:
+            bodies = self._bodies[wall_clock] = [
+                f",{r.k},{r.fo_calls},{r.sfo_calls},{r.po_calls},{r.lmo_calls},"
+                f"{float(r.f_value)!r},{float(r.gap)!r},"
+                f"{float(r.wall_ms if wall_clock else 0.0)!r},"
+                for r in self.records]
         return [f"{algorithm}{body}{seed}" for body in bodies]
 
     def write_csv(self, path, algorithm: str, seed: int, wall_clock: bool = False) -> None:
@@ -265,10 +265,10 @@ def _check_start_point(x0: np.ndarray, set_oracle) -> np.ndarray:
     return x
 
 
-def _trace_step(trace: RunTrace, k: int, counters: OracleCounters, problem,
+def _trace_step(records: list, started: float, k: int, counters: OracleCounters, problem,
                 point: np.ndarray, f_ref: float | None) -> TraceRecord:
-    """Append the record of step ``k``: the oracle counts, the uncounted
-    ``problem.value`` of ``point`` and the milliseconds since ``trace.started``.
+    """Append to ``records`` the record of step ``k``: the oracle counts, the
+    uncounted ``problem.value`` of ``point`` and the milliseconds since ``started``.
 
     Raises ``NumericalError`` when the objective value is not finite, so a
     run fails loudly instead of writing NaN rows.  A non-finite subgradient
@@ -280,8 +280,8 @@ def _trace_step(trace: RunTrace, k: int, counters: OracleCounters, problem,
         raise NumericalError(f"a value at step {k} is not finite (f_value = {f_value!r})")
     record = TraceRecord(k, *counters.as_tuple(), f_value,
                          f_value - f_ref if f_ref is not None else float("nan"),
-                         (time.perf_counter() - trace.started) * 1e3)
-    trace.records.append(record)
+                         (time.perf_counter() - started) * 1e3)
+    records.append(record)
     return record
 
 
@@ -437,7 +437,7 @@ def _moreau_splitting(problem, oracle, counters: OracleCounters, step,
     z = x.copy()
     z_prime = x.copy()
 
-    trace = RunTrace()
+    records, started = [], time.perf_counter()
     for k in range(1, total + 1):
         sched = config.schedule(k)
         beta, gamma = sched.beta, sched.gamma
@@ -450,8 +450,8 @@ def _moreau_splitting(problem, oracle, counters: OracleCounters, step,
                                           sched.inner_steps, config.domain_radius, rng)
         x = (1.0 - gamma) * x + gamma * z
         x_prime = (1.0 - gamma) * x_prime + gamma * z_prime_avg
-        _trace_step(trace, k, counters, problem, x, f_ref)
-    return SolverResult(x=x, trace=trace, counters=counters)
+        _trace_step(records, started, k, counters, problem, x, f_ref)
+    return SolverResult(x=x, trace=RunTrace(records), counters=counters)
 
 
 def mopes(problem, oracle, po: ProjectionOracle, config: SolverConfig, x0: np.ndarray,
@@ -524,7 +524,7 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
 
     weighted = np.zeros_like(x)
     weight_sum = 0.0
-    trace = RunTrace()
+    records, started = [], time.perf_counter()
     diminishing = stepsize_rule == "diminishing"
     alpha = set_diameter / (lipschitz * math.sqrt(steps))
     for k in range(1, steps + 1):
@@ -534,8 +534,8 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
         weighted += alpha * x
         weight_sum += alpha
         x = project(x - alpha * grad)
-        _trace_step(trace, k, counters, problem, weighted / weight_sum, f_ref)
-    return SolverResult(x=weighted / weight_sum, trace=trace, counters=counters)
+        _trace_step(records, started, k, counters, problem, weighted / weight_sum, f_ref)
+    return SolverResult(x=weighted / weight_sum, trace=RunTrace(records), counters=counters)
 
 
 def fw_pgd_budget(steps: int) -> int:
@@ -585,15 +585,15 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
 
     weighted = np.zeros_like(x)
     weight_sum = 0.0
-    trace = RunTrace()
+    records, started = [], time.perf_counter()
     for k in range(1, steps + 1):
         grad = sample(x, rng)
         weighted += alpha * x
         weight_sum += alpha
-        record = _trace_step(trace, k, counters, problem, weighted / weight_sum, f_ref)
+        record = _trace_step(records, started, k, counters, problem, weighted / weight_sum, f_ref)
         if (k == steps or max_lmo is not None and counters.lmo_calls >= max_lmo
                 or target_gap is not None and record.gap <= target_gap):
             break
         x = fw_quadratic_projection(x - alpha * grad, x, counted_lmo, budget, 1.0 / alpha,
                                     wolfe_tol)
-    return SolverResult(x=weighted / weight_sum, trace=trace, counters=counters)
+    return SolverResult(x=weighted / weight_sum, trace=RunTrace(records), counters=counters)

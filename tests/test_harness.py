@@ -264,8 +264,7 @@ class TestRunExperiment:
                                           for name in columns), wall_ms=0.0)
                  for recs in zip(*(t.records for t in traces))]
         expected = RunTrace(means).csv_rows("solver|eps=0.25", 7)
-        runs = [t.records for t in traces]
-        assert list(harness._aggregate_rows({("solver", 0.25): runs}, 7)) == expected
+        assert harness._mean_trace(traces).csv_rows("solver|eps=0.25", 7) == expected
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         override = tmp_path / "elsewhere"
@@ -403,7 +402,7 @@ class TestSharedRuns:
 
     @staticmethod
     def assert_every_csv_is_its_own_run(cfg, manifest):
-        """Returns the runs made alone, as ``{(label, eps): [records per repetition]}``."""
+        """Returns the runs made alone, as ``{(label, eps): [trace per repetition]}``."""
         problem, descriptor, lipschitz = build_problem(cfg.problem)
         files = iter(manifest["files"])
         alone_runs = {}
@@ -423,7 +422,7 @@ class TestSharedRuns:
                     path = Path(next(files))
                     assert path.name == f"{label}_eps{eps:g}_rep{rep}.csv"
                     assert path.read_text() == expected
-                    alone_runs.setdefault((label, eps), []).append(alone.trace.records)
+                    alone_runs.setdefault((label, eps), []).append(alone.trace)
         return alone_runs
 
     def test_every_csv_equals_its_own_run(self, tmp_path):
@@ -444,8 +443,9 @@ class TestSharedRuns:
         manifest = run_experiment(cfg)
         assert manifest["failed"] == []
         alone_runs = self.assert_every_csv_is_its_own_run(cfg, manifest)
-        expected = [CSV_HEADER] + [row for group, runs in alone_runs.items()
-                                   for row in harness._aggregate_rows({group: runs}, cfg.seed)]
+        expected = [CSV_HEADER] + [row for (label, eps), runs in alone_runs.items()
+                                   for row in harness._mean_trace(runs).csv_rows(
+                                       f"{label}|eps={eps!r}", cfg.seed)]
         assert Path(manifest["files"][-1]).read_text().splitlines() == expected
         assert {label for label, _ in alone_runs} == {"pgd_fixed", "mopes"}
 
@@ -793,6 +793,9 @@ class TestCli:
         ({"epsilons": [1.0, 1.0 + 1e-12]}, "which names their run files; repeated: 1"),
         ({"solvers": "mopes"}, "config key 'solvers': expected a list"),
         ({"solvers": {"name": "mopes"}}, "config key 'solvers': expected a list"),
+        ({"seed": -1}, "config key 'seed': must be at least 0"),
+        ({"problem": {"kind": "piecewise_linear", "seed": -3}},
+         "problem key 'seed': must be at least 0"),
     ], ids=["d", "set", "steps", "stepsize_rule", "projection_mode", "dist_estimate",
             "max_lmo", "second_solver", "duplicate_label", "unhashable_name",
             "bool_string", "bool_int", "int_fraction", "d_fraction",
@@ -806,7 +809,7 @@ class TestCli:
             "anchor_length", "batch_size_not_finite_sum", "nuclear_ball_on_vector",
             "solvers_empty", "c_overflow", "fw_pgd_steps_overflow", "pgd_steps_overflow",
             "fw_budget_overflow", "inner_budget_huge", "eps_file_names", "solvers_string",
-            "solvers_object"])
+            "solvers_object", "seed_negative", "problem_seed_negative"])
     def test_bad_value_fails_at_load(self, tmp_path, capsys, monkeypatch, overrides, named):
         def no_reference(*args, **kwargs):
             raise AssertionError("the reference solve ran before the config was checked")
@@ -866,9 +869,14 @@ class TestCli:
          "line 3: po_calls -5.0 is negative"),
         (CSV_HEADER + "\nmopes|eps=0.1,1,0,0,1,0,0.5,0.2,0.0,1" * 2098
          + "\nmopes|eps=0.1,2,0,0,2,0,0.4,0.05,-0.5,1\n", "line 2100: wall_ms -0.5 is negative"),
+        *((CSV_HEADER + "\nmopes|eps=0.1,1,0,0,1,0,0.5,0.2,0.0,1"
+                        f"\nmopes|eps={eps},2,0,0,2,0,0.4,0.05,0.0,1\n",
+           f"line 3: row tag 'mopes|eps={eps}': accuracy {float(eps)!r} is not positive and "
+           "finite") for eps in ("inf", "0", "-0.5", "nan")),
     ], ids=["short_row", "non_numeric_count", "no_marker", "header", "non_numeric_k",
             "non_numeric_f_value", "non_numeric_wall_ms", "non_numeric_seed", "infinite_count",
-            "nan_count", "nan_gap", "negative_count", "negative_wall_ms_after_many_rows"])
+            "nan_count", "nan_gap", "negative_count", "negative_wall_ms_after_many_rows",
+            "eps_infinite", "eps_zero", "eps_negative", "eps_nan"])
     def test_malformed_aggregate_is_a_format_error(self, tmp_path, capsys, content, message):
         agg = tmp_path / "aggregate.csv"
         agg.write_text(content)

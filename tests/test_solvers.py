@@ -798,28 +798,33 @@ class TestDeterminismAndTraces:
         assert [f.name for f in dataclasses.fields(TraceRecord)] == CSV_HEADER.split(",")[1:-1]
 
     def test_csv_rows_follow_every_change_to_the_trace(self):
-        # Rows are formatted once per list of records; a later change to the
-        # trace must never be served stale rows.
-        def record(k, scale=1.0):
-            return TraceRecord(k, k, 2 * k, k, 0, scale / k, scale / (3 * k), 0.25 * k)
-
-        trace = RunTrace([record(k) for k in range(1, 6)])
+        # A trace cannot change, but its rows are formatted once per
+        # wall_clock; the other setting must never be served them.
+        trace = RunTrace([TraceRecord(k, k, 2 * k, k, 0, 1.0 / k, 1.0 / (3 * k), 0.25 * k)
+                          for k in range(1, 6)])
         name = ("mopes", 3)
 
         def fresh(wall_clock=False):
-            return RunTrace(list(trace.records)).csv_rows(*name, wall_clock)
+            return RunTrace(trace.records).csv_rows(*name, wall_clock)
 
         assert trace.csv_rows(*name) == fresh()
         name = ("pgd_fixed|eps=0.5", 9)
         assert trace.csv_rows(*name) == fresh()
         assert trace.csv_rows(*name, wall_clock=True) == fresh(wall_clock=True) != fresh()
         assert trace.csv_rows(*name) == fresh()
-        trace.records.append(record(6))
-        assert trace.csv_rows(*name) == fresh() and len(fresh()) == 6
-        trace.records[2] = record(3, scale=2.0)
-        assert trace.csv_rows(*name) == fresh()
-        trace.records = trace.records[:2]
-        assert trace.csv_rows(*name) == fresh() and len(fresh()) == 2
+
+    def test_returned_trace_cannot_be_changed(self):
+        inst, fo, sd = abs_problem(0.6)
+        cfg = SolverConfig.from_target(0.3, 1.0, sd.diameter, method="mopes",
+                                       dist_estimate=0.5, domain_radius=2.0, seed=2)
+        trace = mopes(inst, fo, ProjectionOracle.from_set(sd), cfg, np.array([1.0])).trace
+        assert isinstance(trace.records, tuple) and len(trace.records) == cfg.outer_steps
+        built = RunTrace(list(trace.records))
+        assert isinstance(built.records, tuple) and built.records == trace.records
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.records = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.records = list(trace.records)
 
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         inst, fo, sd = abs_problem(0.6)
@@ -829,11 +834,11 @@ class TestDeterminismAndTraces:
         trace = mopes(inst, fo, po, cfg, np.array([1.0])).trace
         rows = trace.csv_rows("mopes", 2)
 
-        def rows_then_failure(algorithm, seed, wall_clock=False):
+        def rows_then_failure(self, algorithm, seed, wall_clock=False):
             yield from rows[:3]
             raise OSError("disk full")
 
-        monkeypatch.setattr(trace, "csv_rows", rows_then_failure)
+        monkeypatch.setattr(RunTrace, "csv_rows", rows_then_failure)
         fresh = tmp_path / "fresh.csv"
         with pytest.raises(OSError, match="disk full"):
             trace.write_csv(fresh, "mopes", 2)
