@@ -47,7 +47,10 @@ def _print_slope_report(metric: str, fits: dict) -> None:
             print(f"{metric}\t{label}\tslope={entry.slope:.4f}\t"
                   f"residual={entry.residual:.2e}\tcalls[{pts}]")
         for eps, count in entry.excluded.items():
-            reason = "never reached" if count is None else f"reached at {count:g} calls"
+            if count is None:  # what the run spent bounds the count to reach eps
+                reason = f"never reached; ≥ {entry.spent[eps]:.15g} calls"
+            else:
+                reason = f"reached at {count:g} calls"
             print(f"{metric}\t{label}\texcluded eps={eps:g} ({reason})")
 
 

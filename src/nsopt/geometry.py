@@ -55,16 +55,25 @@ def project_l1_ball(x: np.ndarray, radius: float) -> np.ndarray:
     return a
 
 
-def lmo_l1_ball(g: np.ndarray, radius: float) -> np.ndarray:
-    """Extreme point of the l1 ball minimizing ``<g, s>``.
+def lmo_l1_ball_atom(g: np.ndarray, radius: float) -> tuple[int, float]:
+    """Extreme point of the l1 ball minimizing ``<g, s>``, as the atom
+    ``(i, value)``: the vertex is ``value = -radius * sign(g_i)`` at ``i``
+    and zero elsewhere.
 
     Ties on ``|g_i|`` break toward the lowest index and ``sign(0)`` is
-    taken as ``+1``, so the output is deterministic.
+    taken as ``+1``, so the output is deterministic; a zero ``g`` gives
+    ``(0, -radius)``.
     """
-    g = np.asarray(g, dtype=float)
     i = np.abs(g).argmax()
+    return i, (-radius if g[i] >= 0 else radius)
+
+
+def lmo_l1_ball(g: np.ndarray, radius: float) -> np.ndarray:
+    """The vertex of ``lmo_l1_ball_atom`` as a dense array."""
+    g = np.asarray(g, dtype=float)
+    i, value = lmo_l1_ball_atom(g, radius)
     s = np.zeros(g.shape)  # float, as ``g`` is; zeros_like costs twice as much
-    s[i] = -radius if g[i] >= 0 else radius
+    s[i] = value
     return s
 
 
@@ -172,18 +181,28 @@ class SetDescriptor:
             return project_l1_ball(x, self.radius)
         return project_nuclear_ball(x.reshape(self.shape), self.radius).ravel()
 
-    def lmo(self, g: np.ndarray) -> np.ndarray:
+    def lmo_atom(self, g: np.ndarray) -> tuple[int | slice, float | np.ndarray]:
+        """The extreme point minimizing ``<g, s>`` as an atom ``(index, value)``:
+        ``(i, ±radius)`` on the l1 ball, ``(slice(None), flat vertex)`` on the
+        others.  A zero ``g`` maps to a fixed vertex."""
         g = np.asarray(g, dtype=float)
         if self.kind == "l1_ball":
-            return lmo_l1_ball(g, self.radius)
+            return lmo_l1_ball_atom(g, self.radius)
         if self.kind == "l2_ball":
             nrm = float(np.linalg.norm(g))
             if nrm == 0.0:
                 s = np.zeros_like(g)
                 s[0] = -self.radius
-                return s
-            return -self.radius / nrm * g
-        return lmo_nuclear_ball(g.reshape(self.shape), self.radius).ravel()
+                return slice(None), s
+            return slice(None), -self.radius / nrm * g
+        return slice(None), lmo_nuclear_ball(g.reshape(self.shape), self.radius).ravel()
+
+    def lmo(self, g: np.ndarray) -> np.ndarray:
+        """The vertex of ``lmo_atom`` as a dense flat array."""
+        index, value = self.lmo_atom(g)
+        s = np.zeros(np.shape(g))
+        s[index] = value
+        return s
 
     def boundary_point(self, rng) -> np.ndarray:
         """A random point with norm exactly ``radius`` (rank-1 for the

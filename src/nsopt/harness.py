@@ -504,6 +504,9 @@ class SolverSlope:
     # Each accuracy left out of the fit: the count of 0 it was reached at,
     # which a log scale cannot fit, or None when it was never reached.
     excluded: dict[float, float | None] = field(default_factory=dict)
+    # Each accuracy never reached: the count of its last row, a lower bound on
+    # the count to reach it (a capped baseline stops at its cap).
+    spent: dict[float, float] = field(default_factory=dict)
     unused: bool = False  # the solver never calls this oracle
 
 
@@ -538,7 +541,8 @@ def fit_slopes(traces: dict[str, dict[float, list]], metric: str) -> dict[str, S
     each label to its ``SolverSlope`` on ``metric``; the count for each
     accuracy is the metric value at the first row reaching that gap.
     Solvers need at least 3 fitted accuracies; one never reached, or
-    reached at a count of 0, is excluded and flagged.  A solver whose count
+    reached at a count of 0, is excluded and flagged, and one never reached
+    also records the count its last row spent.  A solver whose count
     is zero in every row is marked ``unused`` instead: it never calls that
     oracle.
     """
@@ -552,18 +556,21 @@ def fit_slopes(traces: dict[str, dict[float, list]], metric: str) -> dict[str, S
             continue
         points: dict[float, float] = {}
         excluded: dict[float, float | None] = {}
+        spent: dict[float, float] = {}
         for eps, rows in per_eps.items():
             count = calls_to_reach(rows, eps, column)
             if count is None or count <= 0:
                 excluded[eps] = count
+                if count is None and rows:
+                    spent[eps] = float(getattr(rows[-1], column))
             else:
                 points[eps] = count
         if len(points) < 3:
-            fits[label] = SolverSlope(float("nan"), float("nan"), points, excluded)
+            fits[label] = SolverSlope(float("nan"), float("nan"), points, excluded, spent)
             continue
         eps_values = sorted(points)
         slope, residual = fit_loglog(eps_values, [points[e] for e in eps_values])
-        fits[label] = SolverSlope(slope, residual, points, excluded)
+        fits[label] = SolverSlope(slope, residual, points, excluded, spent)
     return fits
 
 

@@ -102,7 +102,9 @@ class ProjectionOracle:
 class LinearMinimizationOracle:
     """An extreme point minimizing a linear functional over the set of
     ``set_descriptor``, which decides membership; ``minimize`` is the given
-    function itself."""
+    function itself.  It returns an atom ``(index, value)``: the vertex is
+    ``value`` at ``index`` of the flat vector and zero elsewhere (see
+    ``SetDescriptor.lmo_atom``)."""
 
     def __init__(self, minimize_fn, set_descriptor):
         self.minimize = minimize_fn
@@ -112,7 +114,7 @@ class LinearMinimizationOracle:
     def from_set(cls, descriptor, rng=None) -> "LinearMinimizationOracle":
         """The set's exact LMO; ``rng`` is accepted for compatibility only
         and cannot change the result, since every set's LMO is exact."""
-        return cls(descriptor.lmo, descriptor)
+        return cls(descriptor.lmo_atom, descriptor)
 
 
 def wrap_counting(oracle, counters: OracleCounters):

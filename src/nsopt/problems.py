@@ -35,6 +35,8 @@ class PiecewiseLinearInstance:
         self.minimizer = None if minimizer is None else np.asarray(minimizer, dtype=float)
         self.min_value = min_value
         self._point_shape = (self.slopes.shape[1],)  # compared on every oracle call
+        self._scores = np.empty(self.slopes.shape[0])  # the oracle's one buffer
+        self._rows = list(self.slopes)
 
     @property
     def dim(self) -> int:
@@ -45,15 +47,17 @@ class PiecewiseLinearInstance:
         return float(np.linalg.norm(self.slopes, axis=1).max())
 
     def value(self, x: np.ndarray) -> float:
-        return float((self.slopes @ x + self.intercepts).max())
+        return self.value_and_subgradient(x)[0]
 
     def value_and_subgradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """``(f(x), w_j)`` for the lowest-index active piece ``j``, ``w_j`` a
+        view of a row of ``slopes`` that a later call leaves alone."""
         if x.shape != self._point_shape:
             raise ValueError(f"expected point of dimension {self.dim}, got shape {x.shape}")
-        scores = self.slopes @ x
+        scores = np.dot(self.slopes, x, out=self._scores)
         scores += self.intercepts
-        j = scores.argmax()  # the lowest index on ties
-        return float(scores[j]), self.slopes[j]
+        j = scores.argmax()  # the lowest index on ties, or the first NaN
+        return scores.item(j), self._rows[j]
 
 
 class AbsoluteValueInstance:
@@ -75,11 +79,13 @@ class AbsoluteValueInstance:
         return float(np.sqrt(self.dim))
 
     def value(self, x: np.ndarray) -> float:
-        return float(np.abs(x - self.anchor).sum())
+        return float(np.add.reduce(np.abs(x - self.anchor)))
 
     def value_and_subgradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        # add.reduce is the pairwise sum of .sum(), bit for bit, without its
+        # Python-level dispatch
         diff = x - self.anchor
-        return float(np.abs(diff).sum()), np.sign(diff)
+        return float(np.add.reduce(np.abs(diff))), np.sign(diff)
 
 
 class HingeSvmInstance:

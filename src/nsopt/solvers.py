@@ -377,10 +377,14 @@ def fw_quadratic_projection(target: np.ndarray, u0: np.ndarray,
     combination of LMO vertices plus the start point, hence feasible.  A
     NaN or infinite entry of ``target`` raises ``NumericalError``.
 
-    The iterate takes turns between two buffers: each of the three
-    operations of the update writes into the buffer that is not its input,
-    which on a one-element array spares numpy's slow overlap path, and
-    rounds as ``((t - 1) u + 2 s) / (t + 1)`` does.
+    The loop carries ``P_t = t(t+1) u_t = sum_{j<=t} 2j s_j`` instead of
+    the iterate.  Step ``t`` queries the LMO at ``P_{t-1} - (t-1)t target``,
+    a positive multiple of ``u_{t-1} - target`` (step 1 at ``u0 - target``;
+    the start point enters only there and in the first Wolfe check), and
+    adds ``2t value`` into ``P[index]`` for the LMO's atom ``(index,
+    value)``: on the l1 ball one scalar.  The result is ``P_T / (T(T+1))``;
+    a Wolfe check forms ``u_{t-1} = P_{t-1} / ((t-1)t)``.  The query array
+    is overwritten by the next step, so an LMO that keeps it must copy it.
     """
     if (budget is None) == (wolfe_tol is None):
         raise ValueError("specify exactly one of budget or wolfe_tol")
@@ -388,16 +392,21 @@ def fw_quadratic_projection(target: np.ndarray, u0: np.ndarray,
         raise ValueError("budget must be a positive integer")
     if not np.isfinite(target).all():
         raise NumericalError("Frank-Wolfe projection: the target is not finite")
-    u = np.array(u0, dtype=float, copy=True)
-    spare = np.empty_like(u)
+    query = np.subtract(u0, target, dtype=float)
+    total = np.zeros_like(query)  # P_t
+    scaled = np.empty_like(query)
     minimize = lmo.minimize
-    multiply, add, divide = np.multiply, np.add, np.divide
+    multiply, subtract = np.multiply, np.subtract
     # Under the Wolfe rule the loop leaves only by a return or a raise: LMO
     # call FW_MAX_STEPS + 1 raises unless its gap is within the tolerance.
-    for t in range(1, (FW_MAX_STEPS + 1 if budget is None else budget) + 1):
-        s = minimize(u - target)
+    steps = FW_MAX_STEPS + 1 if budget is None else budget
+    for t in range(1, steps + 1):
+        index, value = minimize(query)
         if wolfe_tol is not None:
-            gap = beta * float((u - target) @ (u - s))
+            u = np.array(u0, dtype=float, copy=True) if t == 1 else total / ((t - 1) * t)
+            away = u.copy()  # u - s
+            away[index] -= value
+            gap = beta * float((u - target) @ away)
             if gap <= wolfe_tol:
                 return u
             if math.isnan(gap):
@@ -406,10 +415,10 @@ def fw_quadratic_projection(target: np.ndarray, u0: np.ndarray,
                 raise NumericalError(
                     f"Frank-Wolfe projection did not reach tolerance {wolfe_tol:g} "
                     f"within {FW_MAX_STEPS} steps")
-        multiply(u, t - 1, out=spare)
-        add(spare, 2.0 * s, out=u)
-        u, spare = divide(u, t + 1, out=spare), u
-    return u
+        total[index] += 2.0 * t * value
+        multiply(target, t * (t + 1), out=scaled)
+        subtract(total, scaled, out=query)
+    return total / (steps * (steps + 1))
 
 
 # ---------------------------------------------------------------------------

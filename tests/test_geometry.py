@@ -16,6 +16,7 @@ from nsopt import (
     project_l2_ball,
     project_nuclear_ball,
 )
+from nsopt.geometry import lmo_l1_ball_atom
 from conftest import exact_l1_projection, philox
 
 
@@ -112,6 +113,55 @@ class TestL1Lmo:
             s = lmo_l1_ball(g, r)
             best = min(float(g @ v) for v in l1_vertices(d, r))
             assert float(g @ s) == pytest.approx(best, abs=1e-12)
+
+
+class TestLmoAtoms:
+    """An LMO answers ``(index, value)``: one coordinate on the l1 ball, the
+    whole vertex on the others; the dense vertices are built from it."""
+
+    def test_l1_ties_take_the_lowest_index(self):
+        assert lmo_l1_ball_atom(np.array([0.5, -2.0, 2.0, -2.0]), 3.0) == (1, 3.0)
+        assert lmo_l1_ball_atom(np.array([1.0, 1.0]), 1.0) == (0, -1.0)
+
+    @pytest.mark.parametrize("g, expected", [(0.7, -2.0), (-0.7, 2.0)])
+    def test_l1_sign_rule(self, g, expected):
+        assert lmo_l1_ball_atom(np.array([0.1, g, -0.2]), 2.0) == (1, expected)
+
+    @pytest.mark.parametrize("d", [1, 2, 20])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_l1_zero_direction(self, d, zero):
+        # g_i >= 0 gives -radius, so sign(0) counts as +1, -0.0 included
+        assert lmo_l1_ball_atom(np.full(d, zero), 1.5) == (0, -1.5)
+
+    @pytest.mark.parametrize("descriptor", [l1_ball(7, 1.3), l1_ball(1, 0.5), l2_ball(5, 2.0),
+                                            nuclear_ball(3, 4, 1.0)])
+    def test_dense_vertex_is_built_from_the_atom(self, descriptor, rng):
+        for g in [np.zeros(descriptor.dim), *(rng.standard_normal(descriptor.dim)
+                                              for _ in range(50))]:
+            index, value = descriptor.lmo_atom(g)
+            if descriptor.kind == "l1_ball":
+                assert isinstance(value, float) and 0 <= index < descriptor.dim
+            else:
+                assert index == slice(None) and value.shape == (descriptor.dim,)
+            dense = np.zeros(descriptor.dim)
+            dense[index] = value
+            expected = self.dense_vertex(descriptor, g)
+            assert dense.tobytes() == descriptor.lmo(g).tobytes() == expected.tobytes()
+            if descriptor.kind == "l1_ball":
+                assert dense.tobytes() == lmo_l1_ball(g, descriptor.radius).tobytes()
+
+    @staticmethod
+    def dense_vertex(descriptor, g):
+        """Each set's vertex as its dense formula gives it."""
+        r = descriptor.radius
+        if descriptor.kind == "nuclear_ball":
+            return lmo_nuclear_ball(g.reshape(descriptor.shape), r).ravel()
+        s = np.zeros(descriptor.dim)
+        if descriptor.kind == "l2_ball" and np.any(g):
+            return -r / float(np.linalg.norm(g)) * g
+        i = int(np.argmax(np.abs(g)))
+        s[i] = -r if g[i] >= 0 else r
+        return s
 
 
 class TestNuclearLmo:

@@ -586,6 +586,18 @@ class TestSlopeFits:
         assert entry.excluded == {0.125: None}
         assert math.isnan(entry.slope)
 
+    def test_unreached_accuracy_records_the_count_of_its_last_row(self, capsys):
+        # a capped run: its last row's count bounds the count to reach eps
+        traces = self.synthetic_traces(1)
+        traces["solver"][0.125] = [SimpleNamespace(gap=1.0, po_calls=calls, lmo_calls=0,
+                                                   fo_calls=0, sfo_calls=0)
+                                   for calls in (5, 1792040, 1800000)]
+        entry = fit_slopes(traces, "po")["solver"]
+        assert entry.spent == {0.125: 1800000.0}
+        cli._print_slope_report("po", {"solver": entry})
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "po\tsolver\texcluded eps=0.125 (never reached; ≥ 1800000 calls)")
+
     def test_accuracy_reached_at_a_zero_count_is_flagged_as_reached(self):
         # a log scale cannot fit a count of 0, but the accuracy was reached
         traces = self.synthetic_traces(1)
@@ -613,7 +625,7 @@ class TestSlopeFits:
         assert lines[0].startswith("po\tsolver\tslope=1.0000")
         assert lines[1] == ("po\tstuck\tslope=nan "
                             "(fewer than 3 accuracies reached at a positive count)")
-        assert lines[2:] == [f"po\tstuck\texcluded eps={eps:g} (never reached)"
+        assert lines[2:] == [f"po\tstuck\texcluded eps={eps:g} (never reached; ≥ 5 calls)"
                              for eps in (0.5, 0.25, 0.125)]
 
     def test_nan_reason_counts_accuracies_reached_at_a_positive_count(self, capsys):
@@ -897,7 +909,7 @@ class TestCli:
         assert capsys.readouterr().out.splitlines() == [
             "lmo\tfw_pgd_wolfe\tslope=nan (fewer than 3 accuracies reached at a positive count)",
             "lmo\tfw_pgd_wolfe\texcluded eps=2 (reached at 0 calls)",
-            "lmo\tfw_pgd_wolfe\texcluded eps=0.1 (never reached)"]
+            "lmo\tfw_pgd_wolfe\texcluded eps=0.1 (never reached; ≥ 0 calls)"]
 
     def test_slopes_nan_reason_when_every_accuracy_is_reached(self, tmp_path, capsys):
         # eps 0.4 and 0.3 are reached at the first row, before any LMO call

@@ -143,6 +143,23 @@ class TestSynthPiecewiseLinear:
         values = (pts @ inst.slopes.T + inst.intercepts).max(axis=1)
         assert values.min() >= inst.min_value - 1e-9
 
+    def test_fo_buffer_leaves_returned_values_alone(self):
+        # the scores live in one held buffer; the subgradient is a row of slopes
+        inst = synth_piecewise_linear(6, 9, 2)
+        slopes = inst.slopes.copy()
+        gen = philox(5)
+        for _ in range(200):
+            x = gen.standard_normal(6) * gen.uniform(0.01, 3.0)
+            value, grad = inst.value_and_subgradient(x)
+            kept = grad.copy()
+            inst.value_and_subgradient(gen.standard_normal(6))
+            assert grad.tobytes() == kept.tobytes()
+            assert np.float64(inst.value(x)).tobytes() == np.float64(value).tobytes()
+            scores = slopes @ x + inst.intercepts
+            assert value == float(scores.max())
+            assert kept.tobytes() == slopes[scores.argmax()].tobytes()
+        assert inst.slopes.tobytes() == slopes.tobytes()
+
     def test_needs_two_pieces(self):
         with pytest.raises(ValueError):
             synth_piecewise_linear(3, 1, 0)

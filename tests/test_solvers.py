@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -298,9 +299,66 @@ class TestFwQuadraticProjection:
             gap = beta * float((out - z) @ (out - s))
             assert gap <= 7.0 * beta * sd.diameter ** 2 / budget
 
+    @staticmethod
+    def iterate_recursion(target, u0, sd, budget):
+        """The open-loop update on the iterate itself, ``u_t = ((t-1) u_{t-1}
+        + 2 s_t) / (t + 1)`` with ``s_t`` the dense vertex at ``u_{t-1} -
+        target``; returns the last iterate and the vertices in order."""
+        u = np.array(u0, dtype=float)
+        vertices = []
+        for t in range(1, budget + 1):
+            vertices.append(sd.lmo(u - target))
+            u = ((t - 1) * u + 2.0 * vertices[-1]) / (t + 1)
+        return u, vertices
+
+    @pytest.mark.parametrize("budget", [1, 2, 10, 1000])
+    @pytest.mark.parametrize("sd", [l1_ball(20, 1.0), l1_ball(1, 0.7), l2_ball(20, 1.3),
+                                    l2_ball(1, 1.0)], ids=["l1", "l1_d1", "l2", "l2_d1"])
+    def test_atom_form_takes_the_iterate_recursions_steps(self, sd, budget):
+        # The atom form sums exact multiples of its vertices and divides
+        # once, so it is within an ulp or two of their exact average.  The
+        # iterate recursion rounds at every step: after 1000 steps on the
+        # segment (d=1) it is up to 1.4e-14 of the radius off the atom form,
+        # hence the bound of 3e-14 rather than 1e-14.
+        gen = philox((sd.dim, budget))
+        for _ in range(5):
+            target = gen.standard_normal(sd.dim) * 1.5
+            u0 = sd.boundary_point(gen) * gen.uniform(0.0, 1.0)
+            atoms = []
+            recording = LinearMinimizationOracle(
+                lambda q: atoms.append(sd.lmo_atom(q)) or atoms[-1], sd)
+            counters = OracleCounters()
+            out = fw_quadratic_projection(target, u0, wrap_counting(recording, counters),
+                                          budget=budget)
+            assert counters.lmo_calls == budget == len(atoms)
+            expected, vertices = self.iterate_recursion(target, u0, sd, budget)
+            steps = np.zeros((budget, sd.dim))
+            for row, (index, value) in zip(steps, atoms):
+                row[index] = value
+            # the same vertices: on the l1 ball exactly, on the l2 ball up to
+            # the rounding of the direction it normalizes
+            assert np.max(np.abs(steps - vertices)) <= 1e-15 * sd.radius
+            exact = [sum(Fraction(2 * t) * Fraction(s) for t, s in enumerate(column, 1))
+                     / (budget * (budget + 1)) for column in steps.T.tolist()]
+            assert max(abs(Fraction(o) - e) for o, e in zip(out.tolist(), exact)) \
+                <= 1e-15 * sd.radius
+            assert np.max(np.abs(out - expected)) <= 3e-14 * sd.radius
+
+    @pytest.mark.parametrize("sd", [l1_ball(5, 1.0), l1_ball(1, 1.0), l2_ball(5, 2.0),
+                                    nuclear_ball(2, 3, 1.0)])
+    def test_wolfe_start_within_tolerance_is_returned_after_one_call(self, sd, rng):
+        u0 = sd.boundary_point(rng) * 0.5
+        target = u0 + 1e-9 * rng.standard_normal(sd.dim)
+        counters = OracleCounters()
+        lmo = wrap_counting(LinearMinimizationOracle.from_set(sd), counters)
+        out = fw_quadratic_projection(target, u0, lmo, beta=2.0, wolfe_tol=1e-6)
+        assert counters.lmo_calls == 1
+        assert out is not u0 and out.tobytes() == u0.tobytes()
+
     def test_wolfe_mode_stops_on_nan_gap(self):
         counters = OracleCounters()
-        nan_lmo = LinearMinimizationOracle(lambda g: np.full_like(g, math.nan), l1_ball(2, 1.0))
+        nan_lmo = LinearMinimizationOracle(lambda g: (slice(None), np.full_like(g, math.nan)),
+                                           l1_ball(2, 1.0))
         lmo = wrap_counting(nan_lmo, counters)
         with pytest.raises(NumericalError, match="Wolfe gap is NaN"):
             fw_quadratic_projection(np.ones(2), np.zeros(2), lmo, wolfe_tol=1e-3)
@@ -362,20 +420,24 @@ def allocating_prox_slide(sfo, g, u0, beta, iterations, radius, rng):
 
 
 def allocating_fw_projection(target, u0, lmo, budget=None, beta=1.0, wolfe_tol=None):
-    """``fw_quadratic_projection`` with the allocating open-loop update."""
-    u = np.array(u0, dtype=float, copy=True)
-    if budget is not None:
-        for t in range(1, budget + 1):
-            s = lmo.minimize(u - target)
-            u = ((t - 1) * u + 2.0 * s) / (t + 1)
-        return u
-    t = 0
+    """``fw_quadratic_projection`` with one new array per operation and a
+    dense vertex per step: ``P_t = P_{t-1} + 2t s_t``, with the LMO queried
+    at ``P_{t-1} - (t-1)t target`` (``u0 - target`` at step 1)."""
+    total = np.zeros(np.shape(u0))
+    t = 1
     while True:
-        s = lmo.minimize(u - target)
-        if beta * float((u - target) @ (u - s)) <= wolfe_tol:
-            return u
+        query = u0 - target if t == 1 else total - (t - 1) * t * target
+        index, value = lmo.minimize(query)
+        s = np.zeros(np.shape(u0))
+        s[index] = value
+        if wolfe_tol is not None:
+            u = np.array(u0, dtype=float) if t == 1 else total / ((t - 1) * t)
+            if beta * float((u - target) @ (u - s)) <= wolfe_tol:
+                return u
+        total = total + 2.0 * t * s
+        if t == budget:
+            return total / (t * (t + 1))
         t += 1
-        u = ((t - 1) * u + 2.0 * s) / (t + 1)
 
 
 def assert_same_bits(got, expected):
