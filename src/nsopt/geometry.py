@@ -1,12 +1,15 @@
 """Constraint-set descriptors and exact projection / linear-minimization kernels.
 
 Supports Euclidean balls, l1 balls, and nuclear-norm balls centered at the
-origin.  All kernels are pure, deterministic functions of their inputs; the
-nuclear-ball kernels rest on one dense SVD each.
+origin.  All kernels are pure, deterministic functions of their inputs.  The
+nuclear-ball projection rests on one dense SVD; the nuclear LMO needs only the
+top singular pair, which it takes from one symmetric eigensolve of the smaller
+Gram matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,14 +80,16 @@ def lmo_l1_ball(g: np.ndarray, radius: float) -> np.ndarray:
     return s
 
 
-def full_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD of a dense matrix, raising ``NumericalError`` on failure and
-    on an inf or NaN entry (LAPACK can spin without end on an inf)."""
+def full_svd(a: np.ndarray, compute_uv: bool = True):
+    """Thin SVD of a dense matrix, or its singular values alone when
+    ``compute_uv`` is false, as ``np.linalg.svd`` returns them.  Raises
+    ``NumericalError`` on failure and on an inf or NaN entry (LAPACK can spin
+    without end on an inf)."""
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
         raise NumericalError("SVD of a matrix with non-finite entries")
     try:
-        return np.linalg.svd(a, full_matrices=False)
+        return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
 
@@ -107,19 +112,43 @@ def lmo_nuclear_ball(g: np.ndarray, radius: float, tol: float = 1e-10,
                      max_iter: int = 10000, rng=None) -> np.ndarray:
     """Rank-1 extreme point of the nuclear ball minimizing ``<g, s>``.
 
-    Takes the top singular pair ``(u, v)`` of ``g`` from a dense SVD and
-    returns ``-radius * u v^T``.  A zero input, where every direction ties,
-    maps to a fixed canonical vertex so the output stays deterministic.
-    ``tol``, ``max_iter`` and ``rng`` are accepted for compatibility only:
-    the SVD is exact, so the result is independent of them.
+    Returns ``-radius * u v^T`` for the top singular pair ``(u, v)`` of
+    ``g``.  The pair comes from the top eigenvector of the smaller Gram
+    matrix of ``h = g / max|g|``: ``v`` from ``h^T h`` when ``g`` has no
+    more columns than rows, else ``u`` from ``h h^T``; the other factor is
+    ``h v`` or ``h^T u``, normalized.  The scaling puts every entry of
+    ``h`` in ``[-1, 1]`` and the top eigenvalue in ``[1, m p]`` for an
+    ``m x p`` input, so the eigensolve neither overflows nor loses the top
+    pair to underflow at any finite scale of ``g``.  The sign of the
+    eigenvector cancels in ``u v^T``.
+
+    A non-finite entry raises ``NumericalError``.  A zero input, where
+    every direction ties, maps to a fixed canonical vertex so the output
+    stays deterministic.  ``tol``, ``max_iter`` and ``rng`` are accepted
+    for compatibility only: the eigensolve is exact, so the result is
+    independent of them.
     """
     g = np.asarray(g, dtype=float)
-    if not np.any(g):
+    scale = np.abs(g).max()  # NaN if any entry is NaN
+    if not math.isfinite(scale):
+        raise NumericalError("nuclear LMO of a matrix with non-finite entries")
+    if scale == 0.0:
         s = np.zeros_like(g)
         s[0, 0] = -radius
         return s
-    u, _, vt = full_svd(g)
-    return -radius * np.outer(u[:, 0], vt[0])
+    h = g / scale
+    try:
+        if h.shape[1] <= h.shape[0]:
+            v = np.linalg.eigh(h.T @ h)[1][:, -1]
+            u = h @ v
+            u *= -radius / math.sqrt(u @ u)
+        else:
+            u = np.linalg.eigh(h @ h.T)[1][:, -1]
+            v = u @ h
+            v *= -radius / math.sqrt(v @ v)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"nuclear LMO eigensolve failed: {exc}") from exc
+    return np.multiply.outer(u, v)
 
 
 @dataclass(frozen=True)
@@ -163,7 +192,7 @@ class SetDescriptor:
             return float(np.linalg.norm(x))
         if self.kind == "l1_ball":
             return float(np.abs(x).sum())
-        return float(full_svd(x.reshape(self.shape))[1].sum())
+        return float(full_svd(x.reshape(self.shape), compute_uv=False).sum())
 
     def membership_residual(self, x: np.ndarray) -> float:
         return max(0.0, self.norm(x) - self.radius)

@@ -1,5 +1,7 @@
 """Projection and LMO kernels against closed forms and independent oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -190,8 +192,11 @@ class TestNuclearLmo:
 
 def assert_top_pair_vertex(g, radius):
     """The LMO output is a rank-1 point of nuclear norm ``radius`` whose
-    inner product with ``g`` is ``-radius * sigma_max(g)``."""
-    s = lmo_nuclear_ball(g, radius)
+    inner product with ``g`` is ``-radius * sigma_max(g)``; the LMO raises
+    no warning (an overflow in the Gram matrix would)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = lmo_nuclear_ball(g, radius)
     sv_g = np.linalg.svd(g, compute_uv=False)
     sv_s = np.linalg.svd(s, compute_uv=False)
     assert float((g * s).sum()) == pytest.approx(-radius * sv_g[0], rel=1e-12)
@@ -200,8 +205,19 @@ def assert_top_pair_vertex(g, radius):
     return s
 
 
+def with_spectrum(rng, shape, values):
+    """A matrix of the given shape with the given leading singular values
+    and random singular vectors."""
+    m, p = shape
+    k = len(values)
+    u = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((p, k)))[0]
+    return (u * values) @ v.T
+
+
 class TestTopSingularPair:
-    """The nuclear LMO's top singular pair, taken from a dense SVD."""
+    """The nuclear LMO's top singular pair, taken from the top eigenvector of
+    the smaller Gram matrix of ``g / max|g|``."""
 
     def test_diagonal(self):
         s = assert_top_pair_vertex(np.diag([2.0, 5.0]), 0.7)
@@ -225,8 +241,47 @@ class TestTopSingularPair:
         for _ in range(5):
             assert_top_pair_vertex(rng.standard_normal(shape), 1.3)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (40, 25), (25, 40)])
+    def test_vector_and_rectangular_shapes(self, rng, shape):
+        for _ in range(5):
+            assert_top_pair_vertex(rng.standard_normal(shape), 1.3)
+
+    # Unscaled, the Gram matrix loses the top pair to underflow at 1e-300
+    # and overflows at 1e300; 1e-150 and 1e150 are the edge of the range
+    # where its entries stay normal and finite.
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (6, 6), (40, 25), (25, 40)])
+    def test_extreme_scales(self, rng, shape, scale):
+        for _ in range(3):
+            assert_top_pair_vertex(scale * rng.standard_normal(shape), 0.9)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    @pytest.mark.parametrize("shape", [(6, 6), (7, 3), (3, 7)])
+    def test_rank_one(self, rng, shape, scale):
+        m, p = shape
+        for _ in range(3):
+            g = scale * np.outer(rng.standard_normal(m), rng.standard_normal(p))
+            assert_top_pair_vertex(g, 1.1)
+
     def test_near_equal_leading_values(self):
         assert_top_pair_vertex(np.diag([1.0, 1.0 - 1e-12, 0.5]), 1.0)
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-15, 1e-12, 1e-8])
+    @pytest.mark.parametrize("shape", [(6, 6), (40, 25), (25, 40)])
+    def test_near_tied_spectra(self, rng, shape, gap):
+        for scale in (1e-300, 1.0, 1e300):
+            g = with_spectrum(rng, shape, [1.0, 1.0 - gap, 1.0 - 2 * gap, 0.3])
+            assert_top_pair_vertex(scale * g, 1.0)
+
+    def test_calls_no_svd(self, rng, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the nuclear LMO called an SVD")
+
+        g = rng.standard_normal((5, 4))
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        s = lmo_nuclear_ball(g, 1.0)
+        monkeypatch.undo()
+        assert_allclose(s, assert_top_pair_vertex(g, 1.0), atol=1e-15)
 
     def test_independent_of_rng(self, rng):
         g = rng.standard_normal((5, 4))
@@ -238,7 +293,9 @@ class TestTopSingularPair:
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 class TestNonFiniteSvdInput:
     """LAPACK's SVD can spin without end on an inf entry and fails with a
-    ``LinAlgError`` on NaN, so every SVD-backed kernel rejects both first."""
+    ``LinAlgError`` on NaN, so the SVD-backed kernels (the projection and
+    the norm) reject both first; the LMO rejects both through its scale
+    ``max|g|``, so no LAPACK call sees them."""
 
     def matrix(self, bad):
         x = np.eye(3)
