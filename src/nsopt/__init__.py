@@ -53,7 +53,6 @@ from .solvers import (
     RunTrace,
     SolverConfig,
     SolverResult,
-    TraceRecord,
     compute_schedule,
     fw_pgd,
     fw_quadratic_projection,

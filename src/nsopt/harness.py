@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import operator
 import os
 from collections import namedtuple
 from collections.abc import Iterator
@@ -46,7 +45,7 @@ from .solvers import (
     STEPSIZE_RULES,
     RunTrace,
     SolverConfig,
-    TraceRecord,
+    format_bodies,
     fw_pgd,
     fw_pgd_budget,
     moles,
@@ -369,43 +368,42 @@ def _solver_options(spec: dict, eps: float, lipschitz: float, diameter: float,
 
 
 def _run_single(spec: dict, problem, descriptor: SetDescriptor, oracle, options: dict,
-                x0: np.ndarray, seed: int, f_ref: float):
+                x0: np.ndarray, seed: int):
     """Run the solver of the entry ``spec`` with the ``_solver_options`` of
     one accuracy and the subgradient ``oracle`` of ``_oracle``, from ``x0``
     under run seed ``seed``, and return its result."""
     name = spec["name"]
     if name == "pgd":
         return pgd(problem, oracle, ProjectionOracle.from_set(descriptor), x0, seed=seed,
-                   f_ref=f_ref, **options)
+                   **options)
     if name == "fw_pgd":
         return fw_pgd(problem, oracle, LinearMinimizationOracle.from_set(descriptor), x0,
-                      seed=seed, f_ref=f_ref, **options)
+                      seed=seed, **options)
     config = dataclasses.replace(options["config"], seed=seed)
     if name == "mopes":
-        return mopes(problem, oracle, ProjectionOracle.from_set(descriptor), config, x0, f_ref)
-    return moles(problem, oracle, LinearMinimizationOracle.from_set(descriptor), config, x0,
-                 f_ref)
+        return mopes(problem, oracle, ProjectionOracle.from_set(descriptor), config, x0)
+    return moles(problem, oracle, LinearMinimizationOracle.from_set(descriptor), config, x0)
 
 
-_NUMERIC_FIELDS = CSV_HEADER.split(",")[1:-1]  # the fields of a TraceRecord
-# The columns an aggregate row averages: all but the step and the wall time.
-_MEAN_COLUMNS = operator.attrgetter(*_NUMERIC_FIELDS[1:-1])
+_NUMERIC_FIELDS = CSV_HEADER.split(",")[1:-1]  # the names of RunTrace.columns
+_GAP = _NUMERIC_FIELDS.index("gap")
 
 
-def _mean_trace(runs: list[RunTrace]) -> RunTrace:
-    """The per-row mean of the traces ``runs``, aligned by row index and cut to
-    the shortest (an early-stopped ``fw_pgd`` run is shorter), with ``wall_ms`` 0.
-
-    The values form one C-contiguous ``(rows, columns, repetitions)`` array,
-    so ``mean(axis=-1)`` sums each row's repetitions with the same pairwise
-    summation as ``np.mean`` of their list, bit for bit; a reduction over a
-    leading axis would add them in another order.
+def _mean_trace(runs: list[RunTrace], f_ref: float) -> np.ndarray:
+    """The per-row mean of the ``RunTrace.columns(f_ref)`` of ``runs``, gap
+    included, with ``wall_ms`` 0, as one float array; aligned by row index
+    and cut to the shortest run (an early-stopped ``fw_pgd`` run is shorter).
+    The averaged values form one C-contiguous ``(rows, columns,
+    repetitions)`` array, so ``mean(axis=-1)`` sums each row's repetitions
+    with the same pairwise summation as ``np.mean`` of their list, bit for
+    bit; a reduction over a leading axis would add them in another order.
     """
-    length = min(len(run.records) for run in runs)
-    values = np.stack([np.array(list(map(_MEAN_COLUMNS, run.records[:length])), dtype=float)
-                       for run in runs], axis=-1)
-    return RunTrace([TraceRecord(r.k, *row, wall_ms=0.0)
-                     for r, row in zip(runs[0].records, values.mean(axis=-1).tolist())])
+    length = min(len(run.values) for run in runs)
+    mean = np.zeros((len(_NUMERIC_FIELDS), length))
+    mean[0] = runs[0].counts[:length, 0]
+    mean[1:-1] = np.stack([np.column_stack(run.columns(f_ref)[1:-1])[:length] for run in runs],
+                          axis=-1).mean(axis=-1).T
+    return mean
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -425,9 +423,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
     shared run fails it at every such accuracy, with the same message.
 
     An accuracy's aggregate rows follow its runs; the mean of a shared run is
-    computed once, and its records are freed after the last accuracy that
-    writes them.  The file replaces ``aggregate.csv`` only after the last
-    entry, as ``write_csv_rows`` does, so an error leaves no partial one.
+    computed and formatted once, and a trace and its formatted rows are
+    freed after the last accuracy that writes them.  The file replaces
+    ``aggregate.csv`` only after the last entry, as ``write_csv_rows`` does,
+    so an error leaves no partial one.  Every file's ``gap`` is ``f_value``
+    minus the reference value.
     """
     problem, descriptor, lipschitz = build_problem(config.problem)
     plans = []
@@ -438,6 +438,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     out_dir = os.environ.get(OUTPUT_DIR_ENV, config.output_dir)
     os.makedirs(out_dir, exist_ok=True)
     f_ref, _ = reference_optimum(problem, descriptor, config.reference_budget)
+    for spec, _, options in plans:  # fw_pgd's target_gap stop reads the gap
+        for opts in options if spec["name"] == "fw_pgd" else ():
+            opts["f_ref"] = f_ref
     starts = [descriptor.boundary_point(_philox([config.seed, 1000003, rep]))
               for rep in range(config.repetitions)]
     manifest = {"reference_value": f_ref, "files": [], "runs": [], "failed": []}
@@ -449,19 +452,20 @@ def run_experiment(config: ExperimentConfig) -> dict:
         # unless the run draws from its seed.
         firsts = [ei if spec["batch_size"] else options.index(opts)
                   for ei, opts in enumerate(options)]
-        # By the eps in ``firsts``: each repetition's trace or error, and the
-        # mean of the traces; dropped after the last eps that writes them.
-        table: dict[int, tuple[list, RunTrace | None]] = {}
+        # By the eps in ``firsts``, while a later eps writes them: each
+        # repetition's trace or error, their row bodies and the mean's.
+        table: dict[int, tuple[list, dict, list | None]] = {}
         for ei, eps in enumerate(config.epsilons):
             first = firsts[ei]
-            outcomes, mean = table.get(first, ([], None))
+            kept = first in firsts[ei + 1:]
+            outcomes, bodies, mean = table.pop(first, ([], {}, None))
             for rep in range(config.repetitions):
                 run_id = f"{label}_eps{eps:g}_rep{rep}"
                 seed = _run_seed(config.seed, si, ei, rep)
                 if first == ei:
                     try:
                         outcomes.append(_run_single(spec, problem, descriptor, oracle,
-                                                    options[ei], starts[rep], seed, f_ref).trace)
+                                                    options[ei], starts[rep], seed).trace)
                     except NumericalError as exc:
                         outcomes.append(exc)
                 outcome = outcomes[rep]
@@ -469,18 +473,22 @@ def run_experiment(config: ExperimentConfig) -> dict:
                     manifest["failed"].append({"run": run_id, "error": str(outcome)})
                     manifest["runs"].append({"run": run_id, "status": "failed"})
                     continue
+                if kept and rep not in bodies:
+                    bodies[rep] = [*format_bodies(outcome.columns(f_ref, config.record_wall_time))]
                 path = os.path.join(out_dir, run_id + ".csv")
-                outcome.write_csv(path, label, seed, wall_clock=config.record_wall_time)
+                outcome.write_csv(path, label, seed, f_ref, config.record_wall_time,
+                                  bodies.get(rep))
                 manifest["files"].append(path)
                 manifest["runs"].append({"run": run_id, "status": "ok"})
             if first == ei:
                 traces = [outcome for outcome in outcomes if isinstance(outcome, RunTrace)]
-                mean = _mean_trace(traces) if traces else None
-                table[first] = outcomes, mean
-            if first not in firsts[ei + 1:]:
-                del table[first]
+                if traces:
+                    mean = _mean_trace(traces, f_ref)
+                    mean = [*format_bodies([mean[0].astype(np.int64), *mean[1:]])]
+            if kept:
+                table[first] = outcomes, bodies, mean
             if mean is not None:
-                yield from mean.csv_rows(f"{label}|eps={eps!r}", config.seed)
+                yield from (f"{label}|eps={eps!r}{body}{config.seed}" for body in mean)
 
     agg_path = os.path.join(out_dir, "aggregate.csv")
     write_csv_rows(agg_path, (row for si, plan in enumerate(plans)
@@ -521,24 +529,20 @@ def fit_loglog(eps_values, calls) -> tuple[float, float]:
     return float(coeffs[0]), residual
 
 
-def calls_to_reach(trace_rows, eps: float, column: str) -> float | None:
-    """Metric count at the first record with gap at or below ``eps``.
-
-    ``trace_rows`` is a sequence of objects with ``gap`` and metric
-    attributes, ordered by iteration; interpolation between rows is never
-    used, so counts stay conservative.
-    """
-    for row in trace_rows:
-        if row.gap <= eps:
-            return float(getattr(row, column))
-    return None
+def calls_to_reach(columns, eps: float, column: str) -> float | None:
+    """Metric count at the first row with gap at or below ``eps``, or None.
+    ``columns`` are the numeric CSV columns of rows in iteration order, as
+    ``RunTrace.columns`` and ``_mean_trace`` give them; interpolation between
+    rows is never used, so counts stay conservative."""
+    reached = np.flatnonzero(columns[_GAP] <= eps)
+    return float(columns[_NUMERIC_FIELDS.index(column)][reached[0]]) if reached.size else None
 
 
-def fit_slopes(traces: dict[str, dict[float, list]], metric: str) -> dict[str, SolverSlope]:
+def fit_slopes(traces: dict[str, dict[float, np.ndarray]], metric: str) -> dict[str, SolverSlope]:
     """Fit per-solver complexity slopes from per-accuracy traces.
 
-    ``traces`` maps solver label to {eps: trace rows}, and the result maps
-    each label to its ``SolverSlope`` on ``metric``; the count for each
+    ``traces`` maps solver label to {eps: columns as ``calls_to_reach`` reads
+    them}, and the result maps each label to its ``SolverSlope`` on ``metric``; the count for each
     accuracy is the metric value at the first row reaching that gap.
     Solvers need at least 3 fitted accuracies; one never reached, or
     reached at a count of 0, is excluded and flagged, and one never reached
@@ -549,28 +553,24 @@ def fit_slopes(traces: dict[str, dict[float, list]], metric: str) -> dict[str, S
     if metric not in METRIC_COLUMNS:
         raise ConfigError(f"unknown metric {metric!r}; one of {', '.join(METRIC_COLUMNS)}")
     column = METRIC_COLUMNS[metric]
+    index = _NUMERIC_FIELDS.index(column)
     fits: dict[str, SolverSlope] = {}
     for label, per_eps in traces.items():
-        if all(getattr(row, column) == 0 for rows in per_eps.values() for row in rows):
+        if not any(columns[index].any() for columns in per_eps.values()):
             fits[label] = SolverSlope(float("nan"), float("nan"), {}, unused=True)
             continue
-        points: dict[float, float] = {}
-        excluded: dict[float, float | None] = {}
-        spent: dict[float, float] = {}
-        for eps, rows in per_eps.items():
-            count = calls_to_reach(rows, eps, column)
-            if count is None or count <= 0:
-                excluded[eps] = count
-                if count is None and rows:
-                    spent[eps] = float(getattr(rows[-1], column))
-            else:
-                points[eps] = count
-        if len(points) < 3:
-            fits[label] = SolverSlope(float("nan"), float("nan"), points, excluded, spent)
-            continue
-        eps_values = sorted(points)
-        slope, residual = fit_loglog(eps_values, [points[e] for e in eps_values])
-        fits[label] = SolverSlope(slope, residual, points, excluded, spent)
+        fit = fits[label] = SolverSlope(float("nan"), float("nan"), {})
+        for eps, columns in per_eps.items():
+            count = calls_to_reach(columns, eps, column)
+            if count is not None and count > 0:
+                fit.points[eps] = count
+                continue
+            fit.excluded[eps] = count
+            if count is None and columns[index].size:
+                fit.spent[eps] = float(columns[index][-1])
+        if len(fit.points) >= 3:
+            eps_values = sorted(fit.points)
+            fit.slope, fit.residual = fit_loglog(eps_values, [fit.points[e] for e in eps_values])
     return fits
 
 
@@ -596,8 +596,9 @@ def _check_numbers(path: str, numbers: list[float], first_line: int) -> None:
                           f"{value!r} is {reason}")
 
 
-def _parse_aggregate(path: str) -> dict[str, dict[float, list]]:
-    """Group aggregate CSV rows back into {solver: {eps: [TraceRecord]}}.
+def _parse_aggregate(path: str) -> dict[str, dict[float, np.ndarray]]:
+    """Group aggregate CSV rows back into {solver: {eps: columns}}, each a
+    float array of the numeric columns as ``_mean_trace`` gives them.
 
     Raises ``FormatError`` naming the path and line on a wrong header, a
     row with the wrong number of fields, a field that is not a number, a
@@ -605,10 +606,9 @@ def _parse_aggregate(path: str) -> dict[str, dict[float, list]]:
     tag without an ``|eps=`` accuracy marker or with an accuracy that is
     not positive and finite.
     """
-    grouped: dict[str, dict[float, list]] = {}
+    grouped: dict[str, dict[float, list]] = {}  # the numeric fields of each group's rows
     numbers: list[float] = []  # the numeric fields of the rows from line ``first``
-    first = 2
-    tag = rows = None
+    first, tag, rows = 2, None, None
     with open(path) as fh:
         if fh.readline().strip() != CSV_HEADER:
             raise FormatError(f"{path}: line 1: unexpected CSV header")
@@ -631,13 +631,14 @@ def _parse_aggregate(path: str) -> dict[str, dict[float, list]]:
                 fields = [*map(float, parts[1:-1])]
             except ValueError as exc:
                 raise FormatError(f"{path}: line {number}: {exc}") from None
-            rows.append(TraceRecord(*fields))
+            rows += fields
             numbers += fields
             if number - first + 1 == _CHECKED_ROWS:
                 _check_numbers(path, numbers, first)
                 numbers, first = [], number + 1
     _check_numbers(path, numbers, first)
-    return grouped
+    return {label: {eps: np.array(rows).reshape(-1, len(_NUMERIC_FIELDS)).T
+                    for eps, rows in per_eps.items()} for label, per_eps in grouped.items()}
 
 
 def fit_slopes_from_csv(path: str, metrics: list[str]) -> dict[str, dict[str, SolverSlope]]:

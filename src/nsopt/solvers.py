@@ -22,7 +22,8 @@ import contextlib
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +43,7 @@ CSV_HEADER = "algorithm,k,fo_calls,sfo_calls,po_calls,lmo_calls,f_value,gap,wall
 PROJECTION_MODES = ("budget", "wolfe")  # a fixed Frank-Wolfe budget or a Wolfe-gap stop
 STEPSIZE_RULES = ("fixed", "diminishing")
 FW_MAX_STEPS = 50_000_000  # a Wolfe-mode projection that needs more steps fails
+_FORMAT_BLOCK = 4096  # rows that format_bodies holds as Python numbers at once
 
 
 # ---------------------------------------------------------------------------
@@ -163,57 +165,55 @@ def compute_schedule(lam: float, outer_steps: int, k: int, t: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TraceRecord:
-    k: int
-    fo_calls: int
-    sfo_calls: int
-    po_calls: int
-    lmo_calls: int
-    f_value: float
-    gap: float
-    wall_ms: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunTrace:
-    """The per-outer-iteration records of a single solver run, as a tuple.
-
-    The ``algorithm`` and ``seed`` columns are not part of the trace:
-    whoever writes it names them.
+    """A solver run's rows, one per outer iteration (per step for ``pgd`` and
+    ``fw_pgd``), in two read-only blocks: int64 ``counts`` ``(rows, 5)`` holds
+    ``k`` and the four cumulative oracle counts, float64 ``values`` ``(rows,
+    2)`` holds ``f_value`` and ``wall_ms``.  Whoever writes the trace names
+    its ``algorithm`` and ``seed`` and gives the ``f_ref`` of its ``gap``.
     """
 
-    records: tuple[TraceRecord, ...]
-    # the fields between algorithm and seed of every record, by wall_clock
-    _bodies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    counts: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
+        self.counts.flags.writeable = self.values.flags.writeable = False
 
-    @property
-    def final(self) -> TraceRecord:
-        return self.records[-1]
+    @classmethod
+    def from_rows(cls, rows: list[tuple]) -> RunTrace:
+        """The trace of the tuples ``rows`` that ``_trace_step`` appends:
+        ``(k, fo_calls, sfo_calls, po_calls, lmo_calls, f_value, wall_ms)``."""
+        table = np.array(rows, dtype=object).reshape(-1, 7)
+        return cls(table[:, :5].astype(np.int64), table[:, 5:].astype(float))
 
-    def csv_rows(self, algorithm: str, seed: int, wall_clock: bool = False) -> list[str]:
-        """Rows in the stable CSV schema, under ``algorithm`` and ``seed``.
+    def columns(self, f_ref: float, wall_clock: bool = True) -> list[np.ndarray]:
+        """The eight numeric CSV columns, ``k`` to ``wall_ms``: ``k`` and the
+        counts as int64, ``gap = f_value - f_ref``, and ``wall_ms`` as 0.0
+        unless ``wall_clock`` is set."""
+        f_value, wall_ms = self.values.T
+        return [*self.counts.T, f_value, f_value - f_ref,
+                wall_ms if wall_clock else np.zeros_like(wall_ms)]
 
-        ``wall_ms`` is written as 0.0 unless ``wall_clock`` is set, keeping
-        output bytes deterministic per configuration; measured times stay
-        available on the in-memory records.  The fields between the
-        algorithm and the seed are formatted once per ``wall_clock``, so a
-        trace written again under another seed or algorithm only joins them.
-        """
-        bodies = self._bodies.get(wall_clock)
+    def write_csv(self, path, algorithm: str, seed: int, f_ref: float,
+                  wall_clock: bool = False, bodies: list[str] | None = None) -> None:
+        """Write the trace to ``path``, with ``wall_ms`` 0.0 unless ``wall_clock``
+        is set, so that its bytes are deterministic per configuration; ``bodies``
+        are the ``format_bodies`` of its ``columns(f_ref, wall_clock)``, if given."""
         if bodies is None:
-            bodies = self._bodies[wall_clock] = [
-                f",{r.k},{r.fo_calls},{r.sfo_calls},{r.po_calls},{r.lmo_calls},"
-                f"{float(r.f_value)!r},{float(r.gap)!r},"
-                f"{float(r.wall_ms if wall_clock else 0.0)!r},"
-                for r in self.records]
-        return [f"{algorithm}{body}{seed}" for body in bodies]
+            bodies = format_bodies(self.columns(f_ref, wall_clock))
+        write_csv_rows(path, (f"{algorithm}{body}{seed}" for body in bodies))
 
-    def write_csv(self, path, algorithm: str, seed: int, wall_clock: bool = False) -> None:
-        write_csv_rows(path, self.csv_rows(algorithm, seed, wall_clock))
+
+def format_bodies(columns) -> Iterator[str]:
+    """The CSV fields between ``algorithm`` and ``seed`` of each row of the
+    eight numeric ``columns``, ``k`` to ``wall_ms``, ``_FORMAT_BLOCK`` rows at a
+    time.  A value prints as its Python type does: an int64 count as ``14``,
+    a float64 one as ``14.0``, and every float as its ``repr``."""
+    for start in range(0, len(columns[0]), _FORMAT_BLOCK):
+        yield from [f",{k},{fo},{sfo},{po},{lmo},{f_value!r},{gap!r},{wall_ms!r},"
+                    for k, fo, sfo, po, lmo, f_value, gap, wall_ms in zip(
+                        *(column[start:start + _FORMAT_BLOCK].tolist() for column in columns))]
 
 
 def write_csv_rows(path, rows) -> None:
@@ -265,10 +265,10 @@ def _check_start_point(x0: np.ndarray, set_oracle) -> np.ndarray:
     return x
 
 
-def _trace_step(records: list, started: float, k: int, counters: OracleCounters, problem,
-                point: np.ndarray, f_ref: float | None) -> TraceRecord:
-    """Append to ``records`` the record of step ``k``: the oracle counts, the
-    uncounted ``problem.value`` of ``point`` and the milliseconds since ``started``.
+def _trace_step(rows: list, started: float, k: int, counters: OracleCounters, problem,
+                point: np.ndarray) -> float:
+    """Append to ``rows`` the tuple of step ``k``: ``k``, the oracle counts, the
+    uncounted ``problem.value`` of ``point``, returned, and the ms since ``started``.
 
     Raises ``NumericalError`` when the objective value is not finite, so a
     run fails loudly instead of writing NaN rows.  A non-finite subgradient
@@ -278,11 +278,8 @@ def _trace_step(records: list, started: float, k: int, counters: OracleCounters,
     f_value = float(problem.value(point))
     if not math.isfinite(f_value):
         raise NumericalError(f"a value at step {k} is not finite (f_value = {f_value!r})")
-    record = TraceRecord(k, *counters.as_tuple(), f_value,
-                         f_value - f_ref if f_ref is not None else float("nan"),
-                         (time.perf_counter() - started) * 1e3)
-    records.append(record)
-    return record
+    rows.append((k, *counters.as_tuple(), f_value, (time.perf_counter() - started) * 1e3))
+    return f_value
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +424,7 @@ def fw_quadratic_projection(target: np.ndarray, u0: np.ndarray,
 
 
 def _moreau_splitting(problem, oracle, counters: OracleCounters, step,
-                      config: SolverConfig, x0: np.ndarray, f_ref: float | None) -> SolverResult:
+                      config: SolverConfig, x0: np.ndarray) -> SolverResult:
     """The accelerated Moreau-splitting loop shared by ``mopes`` and ``moles``.
 
     ``step(target, z_prev, sched)`` is the counted constrained move: an
@@ -446,7 +443,7 @@ def _moreau_splitting(problem, oracle, counters: OracleCounters, step,
     z = x.copy()
     z_prime = x.copy()
 
-    records, started = [], time.perf_counter()
+    rows, started = [], time.perf_counter()
     for k in range(1, total + 1):
         sched = config.schedule(k)
         beta, gamma = sched.beta, sched.gamma
@@ -459,12 +456,11 @@ def _moreau_splitting(problem, oracle, counters: OracleCounters, step,
                                           sched.inner_steps, config.domain_radius, rng)
         x = (1.0 - gamma) * x + gamma * z
         x_prime = (1.0 - gamma) * x_prime + gamma * z_prime_avg
-        _trace_step(records, started, k, counters, problem, x, f_ref)
-    return SolverResult(x=x, trace=RunTrace(records), counters=counters)
+        _trace_step(rows, started, k, counters, problem, x)
+    return SolverResult(x, RunTrace.from_rows(rows), counters)
 
 
-def mopes(problem, oracle, po: ProjectionOracle, config: SolverConfig, x0: np.ndarray,
-          f_ref: float | None = None) -> SolverResult:
+def mopes(problem, oracle, po: ProjectionOracle, config: SolverConfig, x0) -> SolverResult:
     """Projection-efficient Moreau-splitting subgradient method.
 
     Uses one exact projection per outer step and
@@ -478,11 +474,11 @@ def mopes(problem, oracle, po: ProjectionOracle, config: SolverConfig, x0: np.nd
     def step(target, z_prev, sched):
         return project(target)
 
-    return _moreau_splitting(problem, oracle, counters, step, config, x0, f_ref)
+    return _moreau_splitting(problem, oracle, counters, step, config, x0)
 
 
 def moles(problem, oracle, lmo: LinearMinimizationOracle, config: SolverConfig,
-          x0: np.ndarray, f_ref: float | None = None) -> SolverResult:
+          x0: np.ndarray) -> SolverResult:
     """LMO-efficient variant: projections approximated by Frank-Wolfe.
 
     Identical to ``mopes`` except the constrained move.  Fixed-budget runs
@@ -500,7 +496,7 @@ def moles(problem, oracle, lmo: LinearMinimizationOracle, config: SolverConfig,
         return fw_quadratic_projection(target, z_prev, counted, budget, sched.beta,
                                        sched.wolfe_tol if wolfe else None)
 
-    return _moreau_splitting(problem, oracle, counters, step, config, x0, f_ref)
+    return _moreau_splitting(problem, oracle, counters, step, config, x0)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +506,7 @@ def moles(problem, oracle, lmo: LinearMinimizationOracle, config: SolverConfig,
 
 def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
         lipschitz: float, set_diameter: float, stepsize_rule: str = "fixed",
-        seed: int = 0, f_ref: float | None = None) -> SolverResult:
+        seed: int = 0) -> SolverResult:
     """Projected subgradient descent with a fixed or diminishing stepsize.
 
     ``x_{k+1} = P_X(x_k - alpha_k g_k)`` with ``alpha_k`` equal to
@@ -533,7 +529,7 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
 
     weighted = np.zeros_like(x)
     weight_sum = 0.0
-    records, started = [], time.perf_counter()
+    rows, started = [], time.perf_counter()
     diminishing = stepsize_rule == "diminishing"
     alpha = set_diameter / (lipschitz * math.sqrt(steps))
     for k in range(1, steps + 1):
@@ -543,8 +539,8 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
         weighted += alpha * x
         weight_sum += alpha
         x = project(x - alpha * grad)
-        _trace_step(records, started, k, counters, problem, weighted / weight_sum, f_ref)
-    return SolverResult(x=weighted / weight_sum, trace=RunTrace(records), counters=counters)
+        _trace_step(rows, started, k, counters, problem, weighted / weight_sum)
+    return SolverResult(weighted / weight_sum, RunTrace.from_rows(rows), counters)
 
 
 def fw_pgd_budget(steps: int) -> int:
@@ -573,14 +569,16 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
     As in ``pgd``, trace rows, one per step, carry the value of the
     running averaged iterate in ``f_value``.  The run stops after the
     row of the last step, the first row that counts at least ``max_lmo``
-    LMO calls, or the first row whose gap is at most ``target_gap``;
-    counters then reflect the truncated run, and its last row is the
-    returned point.
+    LMO calls, or the first row whose gap ``f_value - f_ref`` is at most
+    ``target_gap``; counters then reflect the truncated run, and its last
+    row is the returned point.  ``f_ref`` serves only that stop.
     """
     if steps < 1:
         raise ValueError("steps must be a positive integer")
     if mode not in PROJECTION_MODES:
         raise ValueError(f"mode must be one of {PROJECTION_MODES}")
+    if target_gap is not None and f_ref is None:
+        raise ValueError("a target_gap needs the reference value f_ref")
     x = _check_start_point(x0, lmo)
     counters = OracleCounters()
     sample = _count_first_order(oracle, counters).sample
@@ -594,15 +592,15 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
 
     weighted = np.zeros_like(x)
     weight_sum = 0.0
-    records, started = [], time.perf_counter()
+    rows, started = [], time.perf_counter()
     for k in range(1, steps + 1):
         grad = sample(x, rng)
         weighted += alpha * x
         weight_sum += alpha
-        record = _trace_step(records, started, k, counters, problem, weighted / weight_sum, f_ref)
+        f_value = _trace_step(rows, started, k, counters, problem, weighted / weight_sum)
         if (k == steps or max_lmo is not None and counters.lmo_calls >= max_lmo
-                or target_gap is not None and record.gap <= target_gap):
+                or target_gap is not None and f_value - f_ref <= target_gap):
             break
         x = fw_quadratic_projection(x - alpha * grad, x, counted_lmo, budget, 1.0 / alpha,
                                     wolfe_tol)
-    return SolverResult(x=weighted / weight_sum, trace=RunTrace(records), counters=counters)
+    return SolverResult(weighted / weight_sum, RunTrace.from_rows(rows), counters)

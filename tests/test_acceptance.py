@@ -98,7 +98,7 @@ def moles_bench(bench):
         cfg = SolverConfig.from_target(eps, bench["lipschitz"], bench["ball"].diameter,
                                        method="moles", dist_estimate=bench["dist"], seed=41)
         results[eps] = (cfg, moles(bench["problem"], bench["fo"], bench["lmo"], cfg,
-                                   bench["x0"], f_ref=bench["f_ref"]))
+                                   bench["x0"]))
     return results
 
 
@@ -211,13 +211,12 @@ def test_criterion_3_mopes_end_to_end(bench):
                                            dist_estimate=bench["dist"], seed=31)
             expected_outer = outer_steps_formula(eps, lipschitz, bench["dist"])
             assert cfg.outer_steps == expected_outer
-            result = mopes(bench["problem"], bench["fo"], bench["po"], cfg,
-                           bench["x0"], f_ref=bench["f_ref"])
-            assert result.trace.final.gap <= eps
+            result = mopes(bench["problem"], bench["fo"], bench["po"], cfg, bench["x0"])
+            assert result.trace.values[-1, 0] - bench["f_ref"] <= eps
             assert result.counters.po_calls == expected_outer
             assert result.counters.fo_calls == total_inner_steps(cfg)
             assert result.counters.sfo_calls == 0 and result.counters.lmo_calls == 0
-            reach[eps] = calls_to_reach(result.trace.records, eps, "po_calls")
+            reach[eps] = calls_to_reach(result.trace.columns(bench["f_ref"]), eps, "po_calls")
             assert reach[eps] is not None
         slope, _ = fit_loglog(list(EPS_SWEEP), [reach[e] for e in EPS_SWEEP])
         assert 0.85 <= slope <= 1.15, f"projection-count slope {slope}"
@@ -228,9 +227,10 @@ def test_criterion_3_mopes_end_to_end(bench):
             horizon = math.ceil((2.0 * lipschitz * ball.diameter / eps) ** 2)
             baseline = pgd(bench["problem"], bench["fo"], bench["po"], bench["x0"],
                            horizon, lipschitz, ball.diameter,
-                           stepsize_rule="fixed", f_ref=bench["f_ref"])
+                           stepsize_rule="fixed")
             assert baseline.counters.po_calls == baseline.counters.fo_calls == horizon
-            base_reach.append(calls_to_reach(baseline.trace.records, eps, "po_calls"))
+            base_reach.append(calls_to_reach(baseline.trace.columns(bench["f_ref"]), eps,
+                                             "po_calls"))
         assert all(r is not None for r in base_reach)
         base_slope, _ = fit_loglog(list(EPS_SWEEP), base_reach)
         assert 1.7 <= base_slope <= 2.3, f"baseline projection slope {base_slope}"
@@ -245,10 +245,10 @@ def test_criterion_4_moles_end_to_end(bench, moles_bench):
             cfg, result = moles_bench[eps]
             assert cfg.outer_steps == outer_steps_formula(
                 eps, bench["lipschitz"], bench["dist"], cprime=cfg.cprime)
-            assert result.trace.final.gap <= eps
+            assert result.trace.values[-1, 0] - bench["f_ref"] <= eps
             assert result.counters.lmo_calls == cfg.outer_steps * cfg.fw_budget
             assert result.counters.fo_calls == total_inner_steps(cfg)
-            reach[eps] = calls_to_reach(result.trace.records, eps, "lmo_calls")
+            reach[eps] = calls_to_reach(result.trace.columns(bench["f_ref"]), eps, "lmo_calls")
             assert reach[eps] is not None
         slope, _ = fit_loglog(list(EPS_SWEEP), [reach[e] for e in EPS_SWEEP])
         assert 1.7 <= slope <= 2.3, f"LMO-count slope {slope}"
@@ -262,7 +262,7 @@ def test_criterion_4_moles_end_to_end(bench, moles_bench):
         capped = fw_pgd(bench["problem"], bench["fo"], bench["lmo"], bench["x0"],
                         steps, bench["lipschitz"], 0.0, bench["ball"].diameter,
                         f_ref=bench["f_ref"], max_lmo=6 * moles_total, target_gap=eps)
-        baseline_reach = calls_to_reach(capped.trace.records, eps, "lmo_calls")
+        baseline_reach = calls_to_reach(capped.trace.columns(bench["f_ref"]), eps, "lmo_calls")
         if baseline_reach is None:
             assert capped.counters.lmo_calls >= 5 * moles_total
         else:
@@ -375,11 +375,11 @@ def test_criterion_7_stochastic_runs(svm_bench):
             cfg = SolverConfig.from_target(eps, lipschitz, ball.diameter, method="mopes",
                                            sigma=math.sqrt(sfo.variance_bound),
                                            dist_estimate=dist, seed=seed)
-            result = mopes(problem, sfo, po, cfg, x0, f_ref=svm_bench["f_ref"])
+            result = mopes(problem, sfo, po, cfg, x0)
             assert result.counters.po_calls == cfg.outer_steps
             assert result.counters.sfo_calls == total_inner_steps(cfg)
             assert result.counters.fo_calls == 0
-            gaps.append(result.trace.final.gap)
+            gaps.append(result.trace.values[-1, 0] - svm_bench["f_ref"])
         assert float(np.mean(gaps)) <= 1.2 * eps
 
 

@@ -23,9 +23,9 @@ from nsopt import (
     synth_hinge_data,
     synth_piecewise_linear,
 )
-from nsopt import cli, harness
+from nsopt import cli, harness, solvers
 from nsopt.harness import ExperimentConfig, build_problem, fit_loglog, fit_slopes_from_csv
-from nsopt.solvers import CSV_HEADER, RunTrace, TraceRecord
+from nsopt.solvers import CSV_HEADER, RunTrace, format_bodies
 from conftest import philox
 
 
@@ -247,24 +247,22 @@ class TestRunExperiment:
     @pytest.mark.parametrize("reps", [1, 2, 3, 9, 17])
     def test_aggregate_rows_equal_the_per_row_mean_of_lists(self, reps):
         # Traces of unequal length (as an early-stopped fw_pgd leaves them)
-        # with values over many magnitudes, so that the order of summation
-        # shows in the last bits.
+        # with values and a reference over many magnitudes, so that the
+        # order of summation shows in the last bits.
         gen = philox(reps)
-        columns = ("fo_calls", "sfo_calls", "po_calls", "lmo_calls", "f_value", "gap")
-        traces = []
+        f_ref = float(gen.standard_normal() * 10.0 ** gen.integers(-8, 9))
+        traces, per_rep = [], []  # per_rep: each row's counts, f_value and gap
         for rep in range(reps):
-            records = []
+            rows = []
             for k in range(1, 30 + int(gen.integers(0, 6))):
                 counts = [int(v) for v in gen.integers(0, 10 ** 12, size=4)]
-                f_value, gap = gen.standard_normal(2) * 10.0 ** gen.integers(-8, 9, size=2)
-                records.append(TraceRecord(k, *counts, float(f_value), float(gap),
-                                           wall_ms=float(rep)))
-            traces.append(RunTrace(records))
-        means = [TraceRecord(recs[0].k, *(float(np.mean([getattr(r, name) for r in recs]))
-                                          for name in columns), wall_ms=0.0)
-                 for recs in zip(*(t.records for t in traces))]
-        expected = RunTrace(means).csv_rows("solver|eps=0.25", 7)
-        assert harness._mean_trace(traces).csv_rows("solver|eps=0.25", 7) == expected
+                f_value = float(gen.standard_normal() * 10.0 ** gen.integers(-8, 9))
+                rows.append((k, *counts, f_value, float(rep)))
+            traces.append(RunTrace.from_rows(rows))
+            per_rep.append([(*row[1:6], row[5] - f_ref) for row in rows])
+        expected = [[float(k), *(float(np.mean(values)) for values in zip(*rows)), 0.0]
+                    for k, rows in enumerate(zip(*per_rep), start=1)]
+        assert harness._mean_trace(traces, f_ref).T.tolist() == expected
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         override = tmp_path / "elsewhere"
@@ -385,9 +383,9 @@ class TestSharedRuns:
         calls = []
         run_single = harness._run_single
 
-        def counted(spec, problem, descriptor, oracle, options, x0, seed, f_ref):
+        def counted(spec, problem, descriptor, oracle, options, x0, seed):
             calls.append(harness._solver_label(spec))
-            return run_single(spec, problem, descriptor, oracle, options, x0, seed, f_ref)
+            return run_single(spec, problem, descriptor, oracle, options, x0, seed)
 
         monkeypatch.setattr(harness, "_run_single", counted)
         return calls
@@ -404,6 +402,7 @@ class TestSharedRuns:
     def assert_every_csv_is_its_own_run(cfg, manifest):
         """Returns the runs made alone, as ``{(label, eps): [trace per repetition]}``."""
         problem, descriptor, lipschitz = build_problem(cfg.problem)
+        f_ref = manifest["reference_value"]
         files = iter(manifest["files"])
         alone_runs = {}
         for si, spec in enumerate(cfg.solvers):
@@ -411,14 +410,17 @@ class TestSharedRuns:
             for ei, eps in enumerate(cfg.epsilons):
                 options = harness._solver_options(spec, eps, lipschitz, descriptor.diameter,
                                                   sigma)
+                if spec["name"] == "fw_pgd":
+                    options["f_ref"] = f_ref
                 for rep in range(cfg.repetitions):
                     x0 = descriptor.boundary_point(philox([cfg.seed, 1000003, rep]))
                     seed = harness._run_seed(cfg.seed, si, ei, rep)
                     alone = harness._run_single(spec, problem, descriptor, oracle, options, x0,
-                                                seed, manifest["reference_value"])
+                                                seed)
                     label = harness._solver_label(spec)
                     expected = "".join(f"{row}\n" for row in [
-                        CSV_HEADER, *alone.trace.csv_rows(label, seed)])
+                        CSV_HEADER, *(f"{label}{body}{seed}" for body in
+                                      format_bodies(alone.trace.columns(f_ref, False)))])
                     path = Path(next(files))
                     assert path.name == f"{label}_eps{eps:g}_rep{rep}.csv"
                     assert path.read_text() == expected
@@ -443,9 +445,12 @@ class TestSharedRuns:
         manifest = run_experiment(cfg)
         assert manifest["failed"] == []
         alone_runs = self.assert_every_csv_is_its_own_run(cfg, manifest)
-        expected = [CSV_HEADER] + [row for (label, eps), runs in alone_runs.items()
-                                   for row in harness._mean_trace(runs).csv_rows(
-                                       f"{label}|eps={eps!r}", cfg.seed)]
+        expected = [CSV_HEADER]
+        for (label, eps), runs in alone_runs.items():
+            mean = harness._mean_trace(runs, manifest["reference_value"])
+            # k prints as an integer, the mean counts as floats
+            expected += [f"{label}|eps={eps!r}{body}{cfg.seed}" for body in format_bodies(
+                [mean[0].astype(np.int64), *mean[1:]])]
         assert Path(manifest["files"][-1]).read_text().splitlines() == expected
         assert {label for label, _ in alone_runs} == {"pgd_fixed", "mopes"}
 
@@ -458,8 +463,8 @@ class TestSharedRuns:
             if spec is cfg.solvers[1] and not alive_at_second:
                 alive_at_second.append([ref() is not None for ref in refs])
             result = run_single(spec, *args)
-            if spec is cfg.solvers[0]:  # the trace, and a record its rows average
-                refs.extend([weakref.ref(result.trace), weakref.ref(result.trace.final)])
+            if spec is cfg.solvers[0]:  # the trace, and a column block its rows average
+                refs.extend([weakref.ref(result.trace), weakref.ref(result.trace.values)])
             return result
 
         monkeypatch.setattr(harness, "_run_single", watched)
@@ -468,6 +473,27 @@ class TestSharedRuns:
         manifest = run_experiment(cfg)
         assert manifest["failed"] == []
         assert alive_at_second == [[False] * 12]  # three eps, two repetitions
+
+    def test_each_trace_and_mean_is_formatted_once(self, tmp_path, monkeypatch):
+        # A shared run's rows are formatted once for all its accuracies; a
+        # run written once is formatted as its file is written.
+        formatted = []
+
+        def counting(where, format_bodies):
+            def wrapped(columns):
+                formatted.append(where)
+                return format_bodies(columns)
+            return wrapped
+
+        monkeypatch.setattr(harness, "format_bodies", counting("kept", harness.format_bodies))
+        monkeypatch.setattr(solvers, "format_bodies", counting("write", solvers.format_bodies))
+        cfg = self.config(tmp_path, [{"name": "pgd", "steps": 30},
+                                     {"name": "pgd", "steps": 30, "batch_size": 2,
+                                      "stepsize_rule": "diminishing"}])
+        assert run_experiment(cfg)["failed"] == []
+        # the shared entry: each repetition's run, then their mean; the
+        # minibatch entry at each eps: each repetition's write, then the mean
+        assert formatted == ["kept"] * 3 + ["write", "write", "kept"] * 3
 
     def test_a_failing_entry_leaves_no_aggregate_file(self, tmp_path, monkeypatch):
         run_single = harness._run_single
@@ -560,14 +586,24 @@ class TestSharedRuns:
             *(f"pgd_fixed_eps{eps:g}_rep1.csv" for eps in cfg.epsilons), "aggregate.csv"]
 
 
+def trace_rows(*rows):
+    """The CSV's numeric columns, ``k`` to ``wall_ms``, of ``rows``, one dict
+    of named values per row; a column a dict does not name is 0."""
+    columns = np.zeros((len(harness._NUMERIC_FIELDS), len(rows)))
+    for i, row in enumerate(rows):
+        for name, value in row.items():
+            columns[harness._NUMERIC_FIELDS.index(name), i] = value
+    return columns
+
+
 class TestSlopeFits:
     def synthetic_traces(self, exponent, constant=1024.0):
         eps_values = [0.5, 0.25, 0.125]
         per_eps = {}
         for eps in eps_values:
             calls = constant / eps ** exponent
-            per_eps[eps] = [SimpleNamespace(gap=eps, po_calls=calls, lmo_calls=calls,
-                                            fo_calls=calls, sfo_calls=calls)]
+            per_eps[eps] = trace_rows(dict(gap=eps, po_calls=calls, lmo_calls=calls,
+                                           fo_calls=calls, sfo_calls=calls))
         return {"solver": per_eps}
 
     def test_exact_linear_rate(self):
@@ -580,8 +616,8 @@ class TestSlopeFits:
 
     def test_unreached_accuracy_is_flagged(self):
         traces = self.synthetic_traces(1)
-        traces["solver"][0.125] = [SimpleNamespace(gap=1.0, po_calls=5, lmo_calls=5,
-                                                   fo_calls=5, sfo_calls=5)]
+        traces["solver"][0.125] = trace_rows(dict(gap=1.0, po_calls=5, lmo_calls=5,
+                                                  fo_calls=5, sfo_calls=5))
         entry = fit_slopes(traces, "po")["solver"]
         assert entry.excluded == {0.125: None}
         assert math.isnan(entry.slope)
@@ -589,9 +625,8 @@ class TestSlopeFits:
     def test_unreached_accuracy_records_the_count_of_its_last_row(self, capsys):
         # a capped run: its last row's count bounds the count to reach eps
         traces = self.synthetic_traces(1)
-        traces["solver"][0.125] = [SimpleNamespace(gap=1.0, po_calls=calls, lmo_calls=0,
-                                                   fo_calls=0, sfo_calls=0)
-                                   for calls in (5, 1792040, 1800000)]
+        traces["solver"][0.125] = trace_rows(*(dict(gap=1.0, po_calls=calls)
+                                               for calls in (5, 1792040, 1800000)))
         entry = fit_slopes(traces, "po")["solver"]
         assert entry.spent == {0.125: 1800000.0}
         cli._print_slope_report("po", {"solver": entry})
@@ -601,8 +636,8 @@ class TestSlopeFits:
     def test_accuracy_reached_at_a_zero_count_is_flagged_as_reached(self):
         # a log scale cannot fit a count of 0, but the accuracy was reached
         traces = self.synthetic_traces(1)
-        traces["solver"][2.0] = [SimpleNamespace(gap=0.42, po_calls=0, lmo_calls=0,
-                                                 fo_calls=1, sfo_calls=0)]
+        traces["solver"][2.0] = trace_rows(dict(gap=0.42, po_calls=0, lmo_calls=0,
+                                                fo_calls=1, sfo_calls=0))
         entry = fit_slopes(traces, "po")["solver"]
         assert entry.excluded == {2.0: 0.0}
         assert 2.0 not in entry.points and abs(entry.slope - 1.0) <= 1e-9
@@ -610,9 +645,9 @@ class TestSlopeFits:
     def test_zero_count_metric_is_unused(self, capsys):
         traces = self.synthetic_traces(1)
         for rows in traces["solver"].values():
-            rows[0].sfo_calls = 0
-        traces["stuck"] = {eps: [SimpleNamespace(gap=1.0, po_calls=5, lmo_calls=0,
-                                                 fo_calls=5, sfo_calls=0)]
+            rows[harness._NUMERIC_FIELDS.index("sfo_calls"), 0] = 0
+        traces["stuck"] = {eps: trace_rows(dict(gap=1.0, po_calls=5, lmo_calls=0,
+                                                fo_calls=5, sfo_calls=0))
                            for eps in (0.5, 0.25, 0.125)}
         fits = fit_slopes(traces, "sfo")
         assert fits["solver"].unused
@@ -630,8 +665,8 @@ class TestSlopeFits:
 
     def test_nan_reason_counts_accuracies_reached_at_a_positive_count(self, capsys):
         # every accuracy is reached, two of them before the first call
-        traces = {"fw": {eps: [SimpleNamespace(gap=eps, po_calls=0, lmo_calls=calls,
-                                               fo_calls=1, sfo_calls=0)]
+        traces = {"fw": {eps: trace_rows(dict(gap=eps, po_calls=0, lmo_calls=calls,
+                                              fo_calls=1, sfo_calls=0))
                          for eps, calls in ((0.4, 0), (0.3, 0), (0.2, 40))}}
         cli._print_slope_report("lmo", fit_slopes(traces, "lmo"))
         assert capsys.readouterr().out.splitlines() == [
@@ -896,6 +931,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: format:")
         assert f"{agg}: {message}" in err
+
+    def test_aggregate_reads_back_the_means_bit_for_bit(self, tmp_path, capsys, monkeypatch):
+        # minibatch, shared and early-stopped runs over two repetitions
+        means = []
+        mean_trace = harness._mean_trace
+        monkeypatch.setattr(harness, "_mean_trace",
+                            lambda runs, f_ref: means.append(mean_trace(runs, f_ref)) or means[-1])
+        path = self.write_config(
+            tmp_path, repetitions=2,
+            problem={"kind": "hinge_svm", "n": 20, "d": 4, "seed": 1},
+            solvers=[{"name": "mopes", "batch_size": 2, "dist_estimate": 0.5},
+                     {"name": "pgd", "steps": 30},
+                     {"name": "fw_pgd", "mode": "wolfe", "steps": 40, "target_gap": 0.3}])
+        assert cli.main(["sweep", str(path)]) == 0
+        *report, manifest = capsys.readouterr().out.splitlines()
+        aggregate = json.loads(manifest)["files"][-1]
+        groups = [columns for per_eps in harness._parse_aggregate(aggregate).values()
+                  for columns in per_eps.values()]
+        assert len(groups) == 3 * 3 and len(means) == 3 + 1 + 1  # pgd and fw_pgd share runs
+
+        def bits(columns):
+            return columns.shape, np.ascontiguousarray(columns).tobytes()
+
+        assert {bits(columns) for columns in groups} == {bits(mean) for mean in means}
+        lines = []
+        for metric in sorted(harness.METRIC_COLUMNS):
+            assert cli.main(["slopes", aggregate, "--metric", metric]) == 0
+            lines += capsys.readouterr().out.splitlines()
+        assert lines == report
 
     def test_slopes_flags_an_accuracy_reached_at_zero_calls(self, tmp_path, capsys):
         # the first row of a Frank-Wolfe baseline comes before any LMO call

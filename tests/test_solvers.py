@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +36,7 @@ from nsopt import (
     synth_piecewise_linear,
     wrap_counting,
 )
-from nsopt.solvers import CSV_HEADER, RunTrace, TraceRecord
+from nsopt.solvers import CSV_HEADER, RunTrace, format_bodies
 from conftest import philox
 
 
@@ -526,10 +527,10 @@ class TestMopes:
                                        dist_estimate=0.5, domain_radius=2.0, seed=1)
         recorder = RecordingProblem(inst)
         res = mopes(recorder, fo, po, cfg, np.array([1.0]))
-        assert res.trace.final.f_value <= 0.05
+        assert res.trace.values[-1, 0] <= 0.05
         assert res.counters.po_calls == cfg.outer_steps
         assert res.counters.fo_calls == sum_inner_steps(cfg)
-        assert [r.po_calls for r in res.trace.records] == list(range(1, cfg.outer_steps + 1))
+        assert res.trace.counts[:, 3].tolist() == list(range(1, cfg.outer_steps + 1))
         assert len(recorder.points) == cfg.outer_steps
         for x in recorder.points:
             assert sd.membership_residual(x) <= 1e-8
@@ -625,7 +626,7 @@ class TestMoles:
                                        dist_estimate=1.0, domain_radius=2.0, seed=1)
         recorder = RecordingProblem(inst)
         res = moles(recorder, fo, lmo, cfg, np.array([1.0]))
-        assert res.trace.final.f_value <= 0.05
+        assert res.trace.values[-1, 0] <= 0.05
         assert res.counters.lmo_calls == cfg.outer_steps * cfg.fw_budget
         assert len(recorder.points) == cfg.outer_steps
         for x in recorder.points:
@@ -638,7 +639,7 @@ class TestMoles:
                                        dist_estimate=0.8, domain_radius=2.0, seed=1,
                                        projection_mode="wolfe")
         res = moles(inst, fo, lmo, cfg, np.array([-1.0]))
-        assert res.trace.final.f_value <= 0.2
+        assert res.trace.values[-1, 0] <= 0.2
         budget_cfg = SolverConfig.from_target(0.2, 1.0, sd.diameter, method="moles",
                                               dist_estimate=0.8, domain_radius=2.0, seed=1)
         assert res.counters.lmo_calls != budget_cfg.outer_steps * budget_cfg.fw_budget
@@ -657,7 +658,7 @@ class TestGenericLoop:
             res = mopes(inst, fo, po, cfg, x0)
             bound = (10.0 * dist_sq + 8.0 * cfg.d_tilde) / (lam * total * (total + 1)) \
                 + lam / 2.0
-            assert res.trace.final.f_value <= bound + 1e-12
+            assert res.trace.values[-1, 0] <= bound + 1e-12
 
 
 class TestPgd:
@@ -772,13 +773,29 @@ class TestFwPgd:
         lmo = LinearMinimizationOracle.from_set(sd)
         x0 = sd.boundary_point(rng)
         res = fw_pgd(inst, fo, lmo, x0, 20, 1.0, 0.0, sd.diameter)
-        assert res.trace.final.f_value == inst.value(res.x)
-        first = res.trace.records[0]
-        assert first.f_value == pytest.approx(inst.value(x0), rel=1e-12)
+        assert res.trace.values[-1, 0] == inst.value(res.x)
+        assert res.trace.values[0, 0] == pytest.approx(inst.value(x0), rel=1e-12)
         # a run stopped by its LMO cap ends on a row for the point it returns
         capped = fw_pgd(inst, fo, lmo, x0, 20, 1.0, 0.0, sd.diameter, max_lmo=1)
-        assert [r.k for r in capped.trace.records] == [1, 2]
-        assert capped.trace.final.f_value == inst.value(capped.x)
+        assert capped.trace.counts[:, 0].tolist() == [1, 2]
+        assert capped.trace.values[-1, 0] == inst.value(capped.x)
+
+    def test_target_gap_stops_at_the_first_row_within_it(self, rng):
+        inst = synth_piecewise_linear(5, 4, 3)
+        fo = FirstOrderOracle.from_instance(inst)
+        sd = l1_ball(5, 1.0)
+        lmo = LinearMinimizationOracle.from_set(sd)
+        x0 = sd.boundary_point(rng)
+        full = fw_pgd(inst, fo, lmo, x0, 20, 1.0, 0.0, sd.diameter)
+        f_ref, target_gap = 0.05, 0.04
+        gaps = full.trace.values[:, 0] - f_ref
+        stop = int(np.flatnonzero(gaps <= target_gap)[0])
+        assert 0 < stop < 19
+        stopped = fw_pgd(inst, fo, lmo, x0, 20, 1.0, 0.0, sd.diameter, f_ref=f_ref,
+                         target_gap=target_gap)
+        assert np.array_equal(stopped.trace.counts, full.trace.counts[:stop + 1])
+        with pytest.raises(ValueError, match="f_ref"):
+            fw_pgd(inst, fo, lmo, x0, 20, 1.0, 0.0, sd.diameter, target_gap=target_gap)
 
 
 class TestDeterminismAndTraces:
@@ -791,15 +808,13 @@ class TestDeterminismAndTraces:
                                        method="mopes", dist_estimate=1.0,
                                        sigma=math.sqrt(sfo.variance_bound), seed=11)
         x0 = sd.boundary_point(philox(123))
-        a = mopes(svm, sfo, po, cfg, x0, f_ref=0.0)
-        b = mopes(svm, sfo, po, cfg, x0, f_ref=0.0)
-        assert len(a.trace.records) == len(b.trace.records)
-        for ra, rb in zip(a.trace.records, b.trace.records):
-            assert (ra.k, ra.fo_calls, ra.sfo_calls, ra.po_calls, ra.lmo_calls) == \
-                (rb.k, rb.fo_calls, rb.sfo_calls, rb.po_calls, rb.lmo_calls)
-            assert ra.f_value == rb.f_value and ra.gap == rb.gap
+        a = mopes(svm, sfo, po, cfg, x0)
+        b = mopes(svm, sfo, po, cfg, x0)
+        assert np.array_equal(a.trace.counts, b.trace.counts)
+        assert np.array_equal(a.trace.values[:, 0], b.trace.values[:, 0])
         assert np.array_equal(a.x, b.x)
-        assert a.trace.csv_rows("mopes", 11) == b.trace.csv_rows("mopes", 11)
+        assert [*format_bodies(a.trace.columns(0.0, False))] == \
+            [*format_bodies(b.trace.columns(0.0, False))]
 
     def test_counters_match_final_row(self):
         # no oracle call is spent after the row that reports the returned point,
@@ -824,26 +839,23 @@ class TestDeterminismAndTraces:
             fw_pgd(inst, fo, lmo, x0, 8, 1.0, 0.0, 2.0, max_lmo=300),
         ]
         for res in runs:
-            final = res.trace.final
-            assert res.counters.as_tuple() == (final.fo_calls, final.sfo_calls,
-                                               final.po_calls, final.lmo_calls)
+            assert res.counters.as_tuple() == tuple(res.trace.counts[-1, 1:].tolist())
         for res, steps in zip(runs[3:6], (50, 8, 8)):
-            assert [r.k for r in res.trace.records] == list(range(1, steps + 1))
+            assert res.trace.counts[:, 0].tolist() == list(range(1, steps + 1))
         # each projection takes 28 * 8 + 1 = 225 LMO calls: the cap of 300 is
         # first reached by the row of step 3, after two projections
         capped = runs[-1]
-        assert [(r.k, r.lmo_calls) for r in capped.trace.records] == [(1, 0), (2, 225),
-                                                                      (3, 450)]
-        assert capped.trace.final.f_value == inst.value(capped.x)
+        assert capped.trace.counts[:, [0, 4]].tolist() == [[1, 0], [2, 225], [3, 450]]
+        assert capped.trace.values[-1, 0] == inst.value(capped.x)
 
     def test_csv_schema(self, tmp_path):
         inst, fo, sd = abs_problem(0.6)
         po = ProjectionOracle.from_set(sd)
         cfg = SolverConfig.from_target(0.3, 1.0, sd.diameter, method="mopes",
                                        dist_estimate=0.5, domain_radius=2.0, seed=2)
-        res = mopes(inst, fo, po, cfg, np.array([1.0]), f_ref=0.0)
+        res = mopes(inst, fo, po, cfg, np.array([1.0]))
         path = tmp_path / "trace.csv"
-        res.trace.write_csv(path, "mopes|eps=0.3", 2)
+        res.trace.write_csv(path, "mopes|eps=0.3", 2, 0.0)
         lines = path.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == cfg.outer_steps + 1
@@ -853,40 +865,75 @@ class TestDeterminismAndTraces:
             assert fields[0] == "mopes|eps=0.3" and fields[-1] == "2"
             assert all(np.isfinite(float(v)) for v in fields[1:])
             assert float(fields[8]) == 0.0  # deterministic placeholder
-        timed = res.trace.csv_rows("mopes", 2, wall_clock=True)
-        assert any(float(row.split(",")[8]) > 0.0 for row in timed)
+        timed = format_bodies(res.trace.columns(0.0))
+        assert any(float(body.split(",")[8]) > 0.0 for body in timed)
 
-    def test_record_fields_are_the_numeric_csv_columns(self):
-        assert [f.name for f in dataclasses.fields(TraceRecord)] == CSV_HEADER.split(",")[1:-1]
+    def test_columns_are_the_numeric_csv_fields(self):
+        # the gap is f_value - f_ref, the same float operation as in a file
+        trace = RunTrace.from_rows([(k, k, 2 * k, k, 0, 1.0 / k, 0.25 * k)
+                                    for k in range(1, 6)])
+        f_ref = 1.0 / 3.0
+        columns = trace.columns(f_ref)
+        assert len(columns) == len(CSV_HEADER.split(",")[1:-1])
+        assert [column.dtype for column in columns] == [np.int64] * 5 + [float] * 3
+        for row, body in zip(zip(*(column.tolist() for column in columns)),
+                             format_bodies(columns)):
+            assert tuple(float(field) for field in body.split(",")[1:-1]) == row
+        assert columns[6].tolist() == [1.0 / k - f_ref for k in range(1, 6)]
+        assert columns[7].tolist() == [0.25 * k for k in range(1, 6)]
+        assert trace.columns(f_ref, wall_clock=False)[7].tolist() == [0.0] * 5
 
-    def test_csv_rows_follow_every_change_to_the_trace(self):
-        # A trace cannot change, but its rows are formatted once per
-        # wall_clock; the other setting must never be served them.
-        trace = RunTrace([TraceRecord(k, k, 2 * k, k, 0, 1.0 / k, 1.0 / (3 * k), 0.25 * k)
-                          for k in range(1, 6)])
-        name = ("mopes", 3)
+    def test_bodies_print_counts_as_their_type_and_floats_by_repr(self):
+        trace = RunTrace.from_rows([(1, 3, 0, 1, 0, 0.1, 2.5), (2, 6, 0, 2, 10 ** 12, 1e-20, 7.0)])
+        assert [*format_bodies(trace.columns(0.3, False))] == [
+            ",1,3,0,1,0,0.1,-0.19999999999999998,0.0,",
+            ",2,6,0,2,1000000000000,1e-20,-0.3,0.0,"]
+        assert next(format_bodies(trace.columns(0.3))).endswith(",2.5,")
+        # a mean's counts are floats
+        mean = [np.array([1]), *np.array([[14.0, 0.0, 2.5, 0.0, 0.1, 0.2, 0.0]]).T]
+        assert [*format_bodies(mean)] == [",1,14.0,0.0,2.5,0.0,0.1,0.2,0.0,"]
 
-        def fresh(wall_clock=False):
-            return RunTrace(trace.records).csv_rows(*name, wall_clock)
-
-        assert trace.csv_rows(*name) == fresh()
-        name = ("pgd_fixed|eps=0.5", 9)
-        assert trace.csv_rows(*name) == fresh()
-        assert trace.csv_rows(*name, wall_clock=True) == fresh(wall_clock=True) != fresh()
-        assert trace.csv_rows(*name) == fresh()
+    def test_bodies_do_not_depend_on_the_block_size(self, monkeypatch):
+        trace = RunTrace.from_rows([(k, k, 0, 2 * k, 0, 1.0 / k, 0.5) for k in range(1, 12)])
+        whole = [*format_bodies(trace.columns(0.25))]
+        monkeypatch.setattr(nsopt.solvers, "_FORMAT_BLOCK", 4)
+        assert [*format_bodies(trace.columns(0.25))] == whole and len(whole) == 11
 
     def test_returned_trace_cannot_be_changed(self):
         inst, fo, sd = abs_problem(0.6)
         cfg = SolverConfig.from_target(0.3, 1.0, sd.diameter, method="mopes",
                                        dist_estimate=0.5, domain_radius=2.0, seed=2)
         trace = mopes(inst, fo, ProjectionOracle.from_set(sd), cfg, np.array([1.0])).trace
-        assert isinstance(trace.records, tuple) and len(trace.records) == cfg.outer_steps
-        built = RunTrace(list(trace.records))
-        assert isinstance(built.records, tuple) and built.records == trace.records
+        assert trace.counts.shape == (cfg.outer_steps, 5) and trace.counts.dtype == np.int64
+        assert trace.values.shape == (cfg.outer_steps, 2) and trace.values.dtype == float
+        for block in (trace.counts, trace.values):
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
-            trace.records = ()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            built.records = list(trace.records)
+            trace.counts = trace.counts.copy()
+
+    def test_a_trace_retains_at_most_64_bytes_per_row(self, tmp_path):
+        # Its two column blocks take 56 B per row; no per-row object outlives
+        # the run, and no formatted row outlives a write.  What the trace
+        # holds is what dropping it frees: the interpreter's free lists keep
+        # some of the run's tuples either way.
+        problem = HingeSvmInstance(synth_hinge_data(50, 5, 0))
+        sd = l1_ball(5, 1.0)
+        fo, po = FirstOrderOracle.from_instance(problem), ProjectionOracle.from_set(sd)
+        steps = 20000
+        tracemalloc.start()
+        try:
+            trace = pgd(problem, fo, po, sd.boundary_point(philox(0)), steps,
+                        problem.lipschitz_bound, sd.diameter).trace
+            assert len(trace.values) == steps
+            traced = [tracemalloc.get_traced_memory()[0]]
+            trace.write_csv(tmp_path / "pgd.csv", "pgd_fixed", 1, 0.0)
+            traced.append(tracemalloc.get_traced_memory()[0])
+            del trace
+            held = [(size - tracemalloc.get_traced_memory()[0]) / steps for size in traced]
+        finally:
+            tracemalloc.stop()
+        assert max(held) <= 64, f"the trace holds {held} B per row before and after its write"
 
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         inst, fo, sd = abs_problem(0.6)
@@ -894,20 +941,20 @@ class TestDeterminismAndTraces:
         cfg = SolverConfig.from_target(0.3, 1.0, sd.diameter, method="mopes",
                                        dist_estimate=0.5, domain_radius=2.0, seed=2)
         trace = mopes(inst, fo, po, cfg, np.array([1.0])).trace
-        rows = trace.csv_rows("mopes", 2)
+        bodies = [*format_bodies(trace.columns(0.0, False))]
 
-        def rows_then_failure(self, algorithm, seed, wall_clock=False):
-            yield from rows[:3]
+        def bodies_then_failure(columns):
+            yield from bodies[:3]
             raise OSError("disk full")
 
-        monkeypatch.setattr(RunTrace, "csv_rows", rows_then_failure)
+        monkeypatch.setattr(nsopt.solvers, "format_bodies", bodies_then_failure)
         fresh = tmp_path / "fresh.csv"
         with pytest.raises(OSError, match="disk full"):
-            trace.write_csv(fresh, "mopes", 2)
+            trace.write_csv(fresh, "mopes", 2, 0.0)
         assert os.listdir(tmp_path) == []
         kept = tmp_path / "kept.csv"
         kept.write_text("earlier contents\n")
         with pytest.raises(OSError, match="disk full"):
-            trace.write_csv(kept, "mopes", 2)
+            trace.write_csv(kept, "mopes", 2, 0.0)
         assert os.listdir(tmp_path) == ["kept.csv"]
         assert kept.read_text() == "earlier contents\n"
