@@ -391,18 +391,20 @@ _GAP = _NUMERIC_FIELDS.index("gap")
 
 def _mean_trace(runs: list[RunTrace], f_ref: float) -> np.ndarray:
     """The per-row mean of the ``RunTrace.columns(f_ref)`` of ``runs``, gap
-    included, with ``wall_ms`` 0, as one float array; aligned by row index
-    and cut to the shortest run (an early-stopped ``fw_pgd`` run is shorter).
+    included, with ``wall_ms`` 0, as one float array, over the rows of the
+    longest run: a shorter run (an early-stopped ``fw_pgd``) repeats its
+    last row, since a stopped run spends no more calls and keeps its point.
     The averaged values form one C-contiguous ``(rows, columns,
     repetitions)`` array, so ``mean(axis=-1)`` sums each row's repetitions
     with the same pairwise summation as ``np.mean`` of their list, bit for
     bit; a reduction over a leading axis would add them in another order.
     """
-    length = min(len(run.values) for run in runs)
-    mean = np.zeros((len(_NUMERIC_FIELDS), length))
-    mean[0] = runs[0].counts[:length, 0]
-    mean[1:-1] = np.stack([np.column_stack(run.columns(f_ref)[1:-1])[:length] for run in runs],
-                          axis=-1).mean(axis=-1).T
+    steps = max(runs, key=lambda run: len(run.values)).counts[:, 0]  # the longest run's k
+    mean = np.zeros((len(_NUMERIC_FIELDS), len(steps)))
+    mean[0] = steps
+    mean[1:-1] = np.stack([np.pad(np.column_stack(run.columns(f_ref)[1:-1]),
+                                  ((0, len(steps) - len(run.values)), (0, 0)), "edge")
+                           for run in runs], axis=-1).mean(axis=-1).T
     return mean
 
 

@@ -182,8 +182,7 @@ class RunTrace:
 
     @classmethod
     def from_rows(cls, rows: list[tuple]) -> RunTrace:
-        """The trace of the tuples ``rows`` that ``_trace_step`` appends:
-        ``(k, fo_calls, sfo_calls, po_calls, lmo_calls, f_value, wall_ms)``."""
+        """The trace of the ``(k, *counts, f_value, wall_ms)`` rows of ``_trace_step``."""
         table = np.array(rows, dtype=object).reshape(-1, 7)
         return cls(table[:, :5].astype(np.int64), table[:, 5:].astype(float))
 
@@ -197,9 +196,9 @@ class RunTrace:
 
     def write_csv(self, path, algorithm: str, seed: int, f_ref: float,
                   wall_clock: bool = False, bodies: list[str] | None = None) -> None:
-        """Write the trace to ``path``, with ``wall_ms`` 0.0 unless ``wall_clock``
-        is set, so that its bytes are deterministic per configuration; ``bodies``
-        are the ``format_bodies`` of its ``columns(f_ref, wall_clock)``, if given."""
+        """Write the trace to ``path``, ``wall_ms`` 0.0 unless ``wall_clock`` is set
+        (so the bytes are deterministic), from ``bodies`` if given: the
+        ``format_bodies`` of its ``columns(f_ref, wall_clock)``."""
         if bodies is None:
             bodies = format_bodies(self.columns(f_ref, wall_clock))
         write_csv_rows(path, (f"{algorithm}{body}{seed}" for body in bodies))

@@ -260,9 +260,22 @@ class TestRunExperiment:
                 rows.append((k, *counts, f_value, float(rep)))
             traces.append(RunTrace.from_rows(rows))
             per_rep.append([(*row[1:6], row[5] - f_ref) for row in rows])
+        # a shorter repetition repeats its last row
+        length = max(map(len, per_rep))
+        padded = [rows + rows[-1:] * (length - len(rows)) for rows in per_rep]
         expected = [[float(k), *(float(np.mean(values)) for values in zip(*rows)), 0.0]
-                    for k, rows in enumerate(zip(*per_rep), start=1)]
+                    for k, rows in enumerate(zip(*padded), start=1)]
         assert harness._mean_trace(traces, f_ref).T.tolist() == expected
+
+    def test_a_shorter_repetition_repeats_its_last_row(self):
+        # a run stopped early spends no more calls and keeps its point
+        short = RunTrace.from_rows([(1, 1, 0, 0, 10, 1.5, 0.5)])
+        long = RunTrace.from_rows([(1, 1, 0, 0, 0, 3.0, 0.5), (2, 2, 0, 0, 100, 2.0, 0.5),
+                                   (3, 3, 0, 0, 200, 1.0, 0.5)])
+        assert harness._mean_trace([short, long], 0.5).T.tolist() == [
+            [1.0, 1.0, 0.0, 0.0, 5.0, 2.25, 1.75, 0.0],
+            [2.0, 1.5, 0.0, 0.0, 55.0, 1.75, 1.25, 0.0],
+            [3.0, 2.0, 0.0, 0.0, 105.0, 1.25, 0.75, 0.0]]
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         override = tmp_path / "elsewhere"
