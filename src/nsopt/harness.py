@@ -543,14 +543,14 @@ def calls_to_reach(columns, eps: float, column: str) -> float | None:
 def fit_slopes(traces: dict[str, dict[float, np.ndarray]], metric: str) -> dict[str, SolverSlope]:
     """Fit per-solver complexity slopes from per-accuracy traces.
 
-    ``traces`` maps solver label to {eps: columns as ``calls_to_reach`` reads
-    them}, and the result maps each label to its ``SolverSlope`` on ``metric``; the count for each
-    accuracy is the metric value at the first row reaching that gap.
-    Solvers need at least 3 fitted accuracies; one never reached, or
-    reached at a count of 0, is excluded and flagged, and one never reached
-    also records the count its last row spent.  A solver whose count
-    is zero in every row is marked ``unused`` instead: it never calls that
-    oracle.
+    ``traces`` maps solver label to {eps: columns as ``calls_to_reach``
+    reads them}, and the result maps each label to its ``SolverSlope`` on
+    ``metric``; the count for each accuracy is the metric value at the first
+    row reaching that gap.  Solvers need at least 3 fitted accuracies; one
+    never reached, or reached at a count of 0, is excluded and flagged, and
+    one never reached also records the count its last row spent.  A solver
+    whose count is zero in every row is marked ``unused`` instead: it never
+    calls that oracle.
     """
     if metric not in METRIC_COLUMNS:
         raise ConfigError(f"unknown metric {metric!r}; one of {', '.join(METRIC_COLUMNS)}")
