@@ -484,9 +484,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 manifest["runs"].append({"run": run_id, "status": "ok"})
             if first == ei:
                 traces = [outcome for outcome in outcomes if isinstance(outcome, RunTrace)]
-                if traces:
-                    mean = _mean_trace(traces, f_ref)
-                    mean = [*format_bodies([mean[0].astype(np.int64), *mean[1:]])]
+                if traces:  # k prints as an integer, the mean counts as floats
+                    columns = _mean_trace(traces, f_ref)
+                    mean = [*format_bodies([columns[0].astype(np.int64), *columns[1:]])]
             if kept:
                 table[first] = outcomes, bodies, mean
             if mean is not None:
