@@ -6,8 +6,8 @@ a constraint set, a list of solvers with per-solver options, a list of
 target accuracies, and a repetition count.  Each
 (solver, accuracy, repetition) run writes one CSV trace; an aggregate CSV
 holds per-row means across repetitions.  The harness alone names and seeds
-each file: a solver's trace holds only its records, and the harness writes
-its ``algorithm`` and ``seed`` columns.  Runs are deterministic per
+each file: a solver's trace holds only its columns, and the harness writes
+its ``algorithm``, ``gap`` and ``seed`` columns.  Runs are deterministic per
 (global seed, repetition index), and within one repetition every solver
 and accuracy starts from the same point.
 """

@@ -430,7 +430,7 @@ def _moreau_splitting(problem, oracle, counters: OracleCounters, step,
     (approximate) projection of ``target`` onto the set, started from
     ``z_prev`` where that matters, under the step's ``Schedule``.  The
     unconstrained block resolves its prox subproblem with ``prox_slide``,
-    which never touches the set.  The trace has one record per outer step.
+    which never touches the set.  The trace has one row per outer step.
     """
     sfo = _count_first_order(oracle, counters)
     rng = _philox(config.seed)
