@@ -28,6 +28,9 @@ def project_l2_ball(x: np.ndarray, radius: float) -> np.ndarray:
     return x * (radius / nrm)
 
 
+_RANKS: dict[int, np.ndarray] = {}  # arange(1, n + 1) as floats, by n
+
+
 def project_l1_ball(x: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the l1 ball via sort and threshold.
 
@@ -39,21 +42,26 @@ def project_l1_ball(x: np.ndarray, radius: float) -> np.ndarray:
     a = np.abs(x)
     if np.add.reduce(a) <= radius:
         return x.copy()
-    s = a.copy()
+    s = a.copy()  # faster than np.sort(a), which copies through a Python wrapper
     s.sort()
     s = s[::-1]
     cumulative = np.add.accumulate(s)
+    ranks = _RANKS.get(x.size)
+    if ranks is None:  # read-only, since every call at this size shares it
+        ranks = _RANKS[x.size] = np.arange(1.0, x.size + 1.0)
+        ranks.flags.writeable = False
     # Largest prefix whose shifted values stay positive fixes the threshold.
     # Only a non-finite input leaves no positive prefix.
     shifted = cumulative - radius
-    shifted /= np.arange(1, x.size + 1)
+    shifted /= ranks
     positive = (s > shifted).nonzero()[0]
     if positive.size == 0:
         raise NumericalError("l1-ball projection of a non-finite point")
     rho = int(positive[-1])
-    theta = (cumulative[rho] - radius) / (rho + 1)
+    theta = (cumulative.item(rho) - radius) / (rho + 1)
     a -= theta
     np.maximum(a, 0.0, out=a)
+    # Not copysign: sign(-0.0) is +0.0, so a -0.0 coordinate maps to +0.0.
     a *= np.sign(x)
     return a
 

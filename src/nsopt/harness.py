@@ -21,6 +21,8 @@ import os
 from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import compress, islice, repeat
+from operator import ne
 
 import numpy as np
 
@@ -447,8 +449,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
               for rep in range(config.repetitions)]
     manifest = {"reference_value": f_ref, "files": [], "runs": [], "failed": []}
 
-    def entry_rows(si: int, spec: dict, oracle, options: list) -> Iterator[str]:
-        """Run and write every run of entry ``si``; yield its aggregate rows."""
+    def entry_rows(si: int, spec: dict, oracle, options: list) -> Iterator[tuple]:
+        """Run and write every run of entry ``si``; yield its aggregate rows as
+        ``write_csv_rows`` blocks."""
         label = _solver_label(spec)
         # The eps whose run each eps writes: the first with equal options,
         # unless the run draws from its seed.
@@ -490,11 +493,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
             if kept:
                 table[first] = outcomes, bodies, mean
             if mean is not None:
-                yield from (f"{label}|eps={eps!r}{body}{config.seed}" for body in mean)
+                yield f"{label}|eps={eps!r}", mean, config.seed
 
     agg_path = os.path.join(out_dir, "aggregate.csv")
-    write_csv_rows(agg_path, (row for si, plan in enumerate(plans)
-                              for row in entry_rows(si, *plan)))
+    write_csv_rows(agg_path, (block for si, plan in enumerate(plans)
+                              for block in entry_rows(si, *plan)))
     manifest["files"].append(agg_path)
     return manifest
 
@@ -579,23 +582,79 @@ def fit_slopes(traces: dict[str, dict[float, np.ndarray]], metric: str) -> dict[
 _CSV_FIELDS = CSV_HEADER.count(",") + 1
 # Only the objective value and the gap may be negative: the rest are a step, counts and a time.
 _NONNEGATIVE = np.array([name not in ("f_value", "gap") for name in _NUMERIC_FIELDS])
-# Rows whose numbers are checked at once: a 64 KB array, so that no large
-# block is allocated and freed, which would raise the process's peak RSS.
+# Rows whose numbers are converted and checked at once: a 64 KB array, so
+# that no large block is allocated and freed, which would raise the process's
+# peak RSS.
 _CHECKED_ROWS = 1024
 
 
-def _check_numbers(path: str, numbers: list[float], first_line: int) -> None:
-    """Raise ``FormatError`` naming the first line with a NaN or infinite
-    field, or a negative step, count or wall time, in one pass over
-    ``numbers``: the numeric fields of consecutive rows from ``first_line``."""
-    values = np.fromiter(numbers, float, len(numbers)).reshape(-1, len(_NUMERIC_FIELDS))
-    wrong = ~np.isfinite(values) | (values < 0.0) & _NONNEGATIVE
-    if wrong.any():
-        row, column = np.argwhere(wrong)[0]
-        value = float(values[row, column])
-        reason = "negative" if math.isfinite(value) else "not finite"
-        raise FormatError(f"{path}: line {first_line + row}: {_NUMERIC_FIELDS[column]} "
-                          f"{value!r} is {reason}")
+def _faults(columns: np.ndarray) -> np.ndarray:
+    """Where the numeric ``columns`` hold a NaN or infinite field, or a
+    negative step, count or wall time."""
+    return ~np.isfinite(columns) | (columns < 0.0) & _NONNEGATIVE[:, None]
+
+
+def _row_group(tag: str) -> tuple[str, float]:
+    """The solver label and accuracy of the aggregate row tag ``label|eps=<eps>``.
+    Raises ``ValueError`` without the marker or with an accuracy that is not
+    positive and finite."""
+    label, marker, eps_part = tag.partition("|eps=")
+    if not marker:
+        raise ValueError(f"row tag {tag!r} lacks an accuracy marker")
+    eps = float(eps_part)
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"row tag {tag!r}: accuracy {eps!r} is not positive and finite")
+    return label, eps
+
+
+def _parse_block(lines: list[str]) -> list[tuple[str, float, np.ndarray]]:
+    """``(label, eps, columns)`` for each run of rows with one tag in ``lines``,
+    the numeric fields converted a column at a time.  Raises ``ValueError`` on
+    any fault ``_diagnose`` names; only the message differs."""
+    if [*map(str.count, lines, repeat(","))].count(_CSV_FIELDS - 1) != len(lines):
+        raise ValueError("a row has the wrong number of fields")
+    # Each line keeps its newline, on its seed, which int() accepts as it
+    # accepts the seed without it.
+    fields = ",".join(lines).split(",")
+    sum(map(int, fields[_CSV_FIELDS - 1::_CSV_FIELDS]))  # a seed must be an integer
+    columns = np.empty((len(_NUMERIC_FIELDS), len(lines)))
+    for j, column in enumerate(columns, start=1):
+        column[:] = np.fromiter(map(float, fields[j::_CSV_FIELDS]), float, len(lines))
+    if _faults(columns).any():
+        raise ValueError("a field is not finite, or a step, count or time is negative")
+    tags = fields[::_CSV_FIELDS]
+    starts = [0, *compress(range(1, len(tags)), map(ne, tags[1:], tags[:-1])), len(tags)]
+    return [(*_row_group(tags[start]), columns[:, start:stop])
+            for start, stop in zip(starts, starts[1:])]
+
+
+def _diagnose(path: str, lines: list[str], first_line: int) -> FormatError:
+    """The ``FormatError`` of the first faulty line of ``lines``, which start
+    at line ``first_line`` of ``path``, checked line by line: the fields and
+    the tag of each line first, then the numbers of all of them."""
+    numbers, tag = [], None
+    for number, line in enumerate(lines, start=first_line):
+        parts = line.rstrip("\n").split(",")
+        try:
+            if len(parts) != _CSV_FIELDS:
+                raise ValueError(f"expected {_CSV_FIELDS} fields, got {len(parts)}")
+            if parts[0] != tag:
+                tag = parts[0]
+                _row_group(tag)
+            int(parts[-1])  # slope fits do not read the seed, but it must be one
+            numbers += map(float, parts[1:-1])
+        except ValueError as exc:
+            return FormatError(f"{path}: line {number}: {exc}")
+    values = np.array(numbers).reshape(-1, len(_NUMERIC_FIELDS)).T
+    faults = _faults(values)
+    if not faults.any():  # no line names a fault that _parse_block raised on
+        return FormatError(f"{path}: lines {first_line}-{number}: malformed rows")
+    row = int(faults.any(axis=0).argmax())
+    column = int(faults[:, row].argmax())
+    value = float(values[column, row])
+    reason = "negative" if math.isfinite(value) else "not finite"
+    return FormatError(f"{path}: line {first_line + row}: {_NUMERIC_FIELDS[column]} "
+                       f"{value!r} is {reason}")
 
 
 def _parse_aggregate(path: str) -> dict[str, dict[float, np.ndarray]]:
@@ -606,41 +665,25 @@ def _parse_aggregate(path: str) -> dict[str, dict[float, np.ndarray]]:
     row with the wrong number of fields, a field that is not a number, a
     NaN or infinite field, a negative step, count or wall time, or a row
     tag without an ``|eps=`` accuracy marker or with an accuracy that is
-    not positive and finite.
+    not positive and finite.  The rows are converted ``_CHECKED_ROWS`` at a
+    time, and a block with a fault is checked again line by line to name
+    the line.
     """
-    grouped: dict[str, dict[float, list]] = {}  # the numeric fields of each group's rows
-    numbers: list[float] = []  # the numeric fields of the rows from line ``first``
-    first, tag, rows = 2, None, None
+    grouped: dict[str, dict[float, list]] = {}  # the column blocks of each group
     with open(path) as fh:
         if fh.readline().strip() != CSV_HEADER:
             raise FormatError(f"{path}: line 1: unexpected CSV header")
-        for number, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(",")
+        first = 2
+        while lines := list(islice(fh, _CHECKED_ROWS)):
             try:
-                if len(parts) != _CSV_FIELDS:
-                    raise ValueError(f"expected {_CSV_FIELDS} fields, got {len(parts)}")
-                if parts[0] != tag:
-                    tag = parts[0]
-                    label, marker, eps_part = tag.partition("|eps=")
-                    if not marker:
-                        raise ValueError(f"row tag {tag!r} lacks an accuracy marker")
-                    eps = float(eps_part)
-                    if not 0.0 < eps < math.inf:
-                        raise ValueError(f"row tag {tag!r}: accuracy {eps!r} is not "
-                                         "positive and finite")
-                    rows = grouped.setdefault(label, {}).setdefault(eps, [])
-                int(parts[-1])  # slope fits do not read the seed, but it must be one
-                fields = [*map(float, parts[1:-1])]
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {number}: {exc}") from None
-            rows += fields
-            numbers += fields
-            if number - first + 1 == _CHECKED_ROWS:
-                _check_numbers(path, numbers, first)
-                numbers, first = [], number + 1
-    _check_numbers(path, numbers, first)
-    return {label: {eps: np.array(rows).reshape(-1, len(_NUMERIC_FIELDS)).T
-                    for eps, rows in per_eps.items()} for label, per_eps in grouped.items()}
+                runs = _parse_block(lines)
+            except ValueError:
+                raise _diagnose(path, lines, first) from None
+            for label, eps, columns in runs:
+                grouped.setdefault(label, {}).setdefault(eps, []).append(columns)
+            first += len(lines)
+    return {label: {eps: np.concatenate(blocks, axis=1) for eps, blocks in per_eps.items()}
+            for label, per_eps in grouped.items()}
 
 
 def fit_slopes_from_csv(path: str, metrics: list[str]) -> dict[str, dict[str, SolverSlope]]:

@@ -183,7 +183,8 @@ def minibatch_sfo(problem, batch_size: int, rng=None) -> StochasticFirstOrderOra
     averaged component subgradient, which is unbiased for the full-sum
     subgradient under the problem's fixed tie-breaking rule.  A batch of
     exactly ``n_terms`` degenerates to the deterministic full sum (zero
-    variance).  The attached variance bound is
+    variance).  ``HingeSvmInstance.batch_subgradient`` gathers a batch's
+    rows with ``rows.take(indices, 0)``.  The attached variance bound is
     ``max_i ||g_i||^2 / batch_size``, certified since every component
     subgradient norm is bounded by the problem's per-term norm bound.
     ``rng`` is accepted for compatibility only and is not used.

@@ -116,26 +116,28 @@ class HingeSvmInstance:
     def value(self, x: np.ndarray) -> float:
         # add.reduce / n is the pairwise sum and division of .mean(), bit for
         # bit, without its Python-level dispatch.
-        margins = 1.0 - self.rows @ x
+        margins = 1.0 - np.dot(self.rows, x)
         return float(np.add.reduce(np.maximum(margins, 0.0, out=margins)) / margins.size)
 
     def value_and_subgradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         if x.shape != self.rows.shape[1:]:
             raise ValueError(f"expected point of dimension {self.dim}, got shape {x.shape}")
-        margins = 1.0 - self.rows @ x
+        # np.dot rounds as ``@`` does, with less dispatch on the matrix-vector
+        # products here.
+        margins = 1.0 - np.dot(self.rows, x)
         # margin == 1 (i.e. 1 - <x, a_i> == 0) contributes zero by the tie rule
         active = (margins > 0.0).astype(float)
         n = margins.size
         value = float(np.add.reduce(np.maximum(margins, 0.0, out=margins)) / n)
-        grad = active @ self.rows
+        grad = np.dot(active, self.rows)
         grad /= -n  # equals -(active @ rows) / n: IEEE rounding is sign-symmetric
         return value, grad
 
     def batch_subgradient(self, x: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        rows = self.rows[indices]
+        rows = self.rows.take(indices, 0)  # the rows of ``rows[indices]``, gathered faster
         # m < 1 is 1 - m > 0 for every double, NaN included, and dividing by
         # -len in place equals negating first: IEEE rounding is sign-symmetric.
-        grad = (rows @ x < 1.0).astype(float) @ rows
+        grad = np.dot((np.dot(rows, x) < 1.0).astype(float), rows)
         grad /= -len(indices)
         return grad
 

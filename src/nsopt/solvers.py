@@ -24,6 +24,7 @@ import os
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -43,7 +44,9 @@ CSV_HEADER = "algorithm,k,fo_calls,sfo_calls,po_calls,lmo_calls,f_value,gap,wall
 PROJECTION_MODES = ("budget", "wolfe")  # a fixed Frank-Wolfe budget or a Wolfe-gap stop
 STEPSIZE_RULES = ("fixed", "diminishing")
 FW_MAX_STEPS = 50_000_000  # a Wolfe-mode projection that needs more steps fails
-_FORMAT_BLOCK = 4096  # rows that format_bodies holds as Python numbers at once
+# Rows that format_bodies holds as Python numbers at once, that a file write
+# joins into one string, and that a running trace holds as tuples.
+_FORMAT_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +185,7 @@ class RunTrace:
 
     @classmethod
     def from_rows(cls, rows: list[tuple]) -> RunTrace:
-        """The trace of the ``(k, *counts, f_value, wall_ms)`` rows of ``_trace_step``."""
+        """The trace of ``(k, *counts, f_value, wall_ms)`` rows."""
         table = np.array(rows, dtype=object).reshape(-1, 7)
         return cls(table[:, :5].astype(np.int64), table[:, 5:].astype(float))
 
@@ -201,32 +204,39 @@ class RunTrace:
         ``format_bodies`` of its ``columns(f_ref, wall_clock)``."""
         if bodies is None:
             bodies = format_bodies(self.columns(f_ref, wall_clock))
-        write_csv_rows(path, (f"{algorithm}{body}{seed}" for body in bodies))
+        write_csv_rows(path, [(algorithm, bodies, seed)])
 
 
 def format_bodies(columns) -> Iterator[str]:
     """The CSV fields between ``algorithm`` and ``seed`` of each row of the
-    eight numeric ``columns``, ``k`` to ``wall_ms``, ``_FORMAT_BLOCK`` rows at a
-    time.  A value prints as its Python type does: an int64 count as ``14``,
-    a float64 one as ``14.0``, and every float as its ``repr``."""
-    for start in range(0, len(columns[0]), _FORMAT_BLOCK):
-        yield from [f",{k},{fo},{sfo},{po},{lmo},{f_value!r},{gap!r},{wall_ms!r},"
-                    for k, fo, sfo, po, lmo, f_value, gap, wall_ms in zip(
-                        *(column[start:start + _FORMAT_BLOCK].tolist() for column in columns))]
+    eight numeric ``columns``, ``k`` to ``wall_ms``, formatted ``_FORMAT_BLOCK``
+    rows at a time.  A value prints as its Python type does: an int64 count
+    as ``14``, a float64 one as ``14.0``, and every float as its ``repr``."""
+    return chain.from_iterable(
+        [f",{k},{fo},{sfo},{po},{lmo},{f_value!r},{gap!r},{wall_ms!r},"
+         for k, fo, sfo, po, lmo, f_value, gap, wall_ms in zip(
+             *(column[start:start + _FORMAT_BLOCK].tolist() for column in columns))]
+        for start in range(0, len(columns[0]), _FORMAT_BLOCK))
 
 
-def write_csv_rows(path, rows) -> None:
-    """Write the CSV header and ``rows`` to ``path`` atomically.
+def write_csv_rows(path, blocks) -> None:
+    """Write the CSV header and the rows of ``blocks`` to ``path`` atomically.
 
-    The rows go to a temporary file in the target directory, which then
-    replaces ``path`` in one step; a write that fails part-way leaves
-    ``path`` as it was and removes the temporary file.
+    Each block is ``(algorithm, bodies, seed)`` and stands for the rows
+    ``f"{algorithm}{body}{seed}"`` of each of ``bodies``, which are written
+    ``_FORMAT_BLOCK`` rows at a time as one string: the bodies joined by
+    ``f"{seed}\\n{algorithm}"``.  The rows go to a temporary file in the
+    target directory, which then replaces ``path`` in one step; a write that
+    fails part-way leaves ``path`` as it was and removes the temporary file.
     """
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
-            fh.writelines(row + "\n" for row in rows)
+            for algorithm, bodies, seed in blocks:
+                separator, bodies = f"{seed}\n{algorithm}", iter(bodies)
+                while chunk := list(islice(bodies, _FORMAT_BLOCK)):
+                    fh.write(f"{algorithm}{separator.join(chunk)}{seed}\n")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -264,21 +274,41 @@ def _check_start_point(x0: np.ndarray, set_oracle) -> np.ndarray:
     return x
 
 
-def _trace_step(rows: list, started: float, k: int, counters: OracleCounters, problem,
-                point: np.ndarray) -> float:
-    """Append to ``rows`` the tuple of step ``k``: ``k``, the oracle counts, the
-    uncounted ``problem.value`` of ``point``, returned, and the ms since ``started``.
+class _TraceRows:
+    """The rows of a running trace.  ``add`` appends one step's row as a tuple,
+    and each ``_FORMAT_BLOCK`` tuples become one ``RunTrace`` block, so a long
+    run holds its earlier rows as compactly as its finished trace does."""
 
-    Raises ``NumericalError`` when the objective value is not finite, so a
-    run fails loudly instead of writing NaN rows.  A non-finite subgradient
-    fails earlier, in the projection, Frank-Wolfe projection or inner loop
-    it enters.
-    """
-    f_value = float(problem.value(point))
-    if not math.isfinite(f_value):
-        raise NumericalError(f"a value at step {k} is not finite (f_value = {f_value!r})")
-    rows.append((k, *counters.as_tuple(), f_value, (time.perf_counter() - started) * 1e3))
-    return f_value
+    def __init__(self):
+        self.rows: list[tuple] = []
+        self.blocks: list[RunTrace] = []
+        self.started = time.perf_counter()
+
+    def add(self, k: int, counters: OracleCounters, problem, point: np.ndarray) -> float:
+        """Append the row of step ``k``: ``k``, the oracle counts, the uncounted
+        ``problem.value`` of ``point``, returned, and the ms since the run started.
+
+        Raises ``NumericalError`` when the objective value is not finite, so a
+        run fails loudly instead of writing NaN rows.  A non-finite subgradient
+        fails earlier, in the projection, Frank-Wolfe projection or inner loop
+        it enters.
+        """
+        f_value = float(problem.value(point))
+        if not math.isfinite(f_value):
+            raise NumericalError(f"a value at step {k} is not finite (f_value = {f_value!r})")
+        rows = self.rows
+        rows.append((k, *counters.as_tuple(), f_value,
+                     (time.perf_counter() - self.started) * 1e3))
+        if len(rows) == _FORMAT_BLOCK:
+            self.blocks.append(RunTrace.from_rows(rows))
+            rows.clear()
+        return f_value
+
+    def trace(self) -> RunTrace:
+        """The trace of every row added so far."""
+        blocks = [*self.blocks, RunTrace.from_rows(self.rows)]
+        return RunTrace(np.concatenate([block.counts for block in blocks]),
+                        np.concatenate([block.values for block in blocks]))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +472,7 @@ def _moreau_splitting(problem, oracle, counters: OracleCounters, step,
     z = x.copy()
     z_prime = x.copy()
 
-    rows, started = [], time.perf_counter()
+    rows = _TraceRows()
     for k in range(1, total + 1):
         sched = config.schedule(k)
         beta, gamma = sched.beta, sched.gamma
@@ -455,8 +485,8 @@ def _moreau_splitting(problem, oracle, counters: OracleCounters, step,
                                           sched.inner_steps, config.domain_radius, rng)
         x = (1.0 - gamma) * x + gamma * z
         x_prime = (1.0 - gamma) * x_prime + gamma * z_prime_avg
-        _trace_step(rows, started, k, counters, problem, x)
-    return SolverResult(x, RunTrace.from_rows(rows), counters)
+        rows.add(k, counters, problem, x)
+    return SolverResult(x, rows.trace(), counters)
 
 
 def mopes(problem, oracle, po: ProjectionOracle, config: SolverConfig, x0) -> SolverResult:
@@ -528,7 +558,7 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
 
     weighted = np.zeros_like(x)
     weight_sum = 0.0
-    rows, started = [], time.perf_counter()
+    rows = _TraceRows()
     diminishing = stepsize_rule == "diminishing"
     alpha = set_diameter / (lipschitz * math.sqrt(steps))
     for k in range(1, steps + 1):
@@ -538,8 +568,8 @@ def pgd(problem, oracle, po: ProjectionOracle, x0: np.ndarray, steps: int,
         weighted += alpha * x
         weight_sum += alpha
         x = project(x - alpha * grad)
-        _trace_step(rows, started, k, counters, problem, weighted / weight_sum)
-    return SolverResult(weighted / weight_sum, RunTrace.from_rows(rows), counters)
+        rows.add(k, counters, problem, weighted / weight_sum)
+    return SolverResult(weighted / weight_sum, rows.trace(), counters)
 
 
 def fw_pgd_budget(steps: int) -> int:
@@ -591,15 +621,15 @@ def fw_pgd(problem, oracle, lmo: LinearMinimizationOracle, x0: np.ndarray, steps
 
     weighted = np.zeros_like(x)
     weight_sum = 0.0
-    rows, started = [], time.perf_counter()
+    rows = _TraceRows()
     for k in range(1, steps + 1):
         grad = sample(x, rng)
         weighted += alpha * x
         weight_sum += alpha
-        f_value = _trace_step(rows, started, k, counters, problem, weighted / weight_sum)
+        f_value = rows.add(k, counters, problem, weighted / weight_sum)
         if (k == steps or max_lmo is not None and counters.lmo_calls >= max_lmo
                 or target_gap is not None and f_value - f_ref <= target_gap):
             break
         x = fw_quadratic_projection(x - alpha * grad, x, counted_lmo, budget, 1.0 / alpha,
                                     wolfe_tol)
-    return SolverResult(weighted / weight_sum, RunTrace.from_rows(rows), counters)
+    return SolverResult(weighted / weight_sum, rows.trace(), counters)

@@ -945,6 +945,25 @@ class TestCli:
         assert err.startswith("error: format:")
         assert f"{agg}: {message}" in err
 
+    @pytest.mark.parametrize("line, row, message", [
+        (1500, "mopes|eps=0.1,2,0,ten,2,0,0.4,0.05,0.0,1",
+         "line 1500: could not convert string to float: 'ten'"),
+        (2049, "mopes|eps=0.1,2,0", "line 2049: expected 10 fields, got 3"),
+        (1100, "mopes,2,0,0,2,0,0.4,0.05,0.0,1",
+         "line 1100: row tag 'mopes' lacks an accuracy marker"),
+    ], ids=["non_numeric_field", "short_row_ending_a_block", "no_marker"])
+    def test_a_fault_past_the_first_block_names_its_line(self, tmp_path, capsys, line, row,
+                                                         message):
+        # the rows are read in blocks of 1 024 lines, from line 2
+        rows = ["mopes|eps=0.1,1,0,0,1,0,0.5,0.2,0.0,1"] * 2200
+        rows[line - 2] = row
+        agg = tmp_path / "aggregate.csv"
+        agg.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+        assert cli.main(["slopes", str(agg), "--metric", "po"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: format:")
+        assert f"{agg}: {message}" in err
+
     def test_aggregate_reads_back_the_means_bit_for_bit(self, tmp_path, capsys, monkeypatch):
         # minibatch, shared and early-stopped runs over two repetitions
         means = []

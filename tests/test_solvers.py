@@ -935,6 +935,62 @@ class TestDeterminismAndTraces:
             tracemalloc.stop()
         assert max(held) <= 64, f"the trace holds {held} B per row before and after its write"
 
+    @staticmethod
+    def tiny_pgd(steps: int):
+        problem = HingeSvmInstance(synth_hinge_data(50, 5, 0))
+        sd = l1_ball(5, 1.0)
+        fo, po = FirstOrderOracle.from_instance(problem), ProjectionOracle.from_set(sd)
+        return pgd(problem, fo, po, sd.boundary_point(philox(0)), steps,
+                   problem.lipschitz_bound, sd.diameter).trace
+
+    def test_a_running_trace_peaks_well_under_its_rows_as_tuples(self):
+        # A 7-tuple per row takes about 264 B; the run keeps at most one block
+        # of them, and its peak is the final join of the 56 B/row blocks.
+        steps = 40000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            trace = self.tiny_pgd(steps)
+            peak = (tracemalloc.get_traced_memory()[1] - before) / steps
+        finally:
+            tracemalloc.stop()
+        assert len(trace.values) == steps
+        assert peak <= 150, f"the run peaks at {peak:.1f} B per row"
+
+    def test_a_trace_does_not_depend_on_the_block_size(self, monkeypatch):
+        whole = self.tiny_pgd(4097)
+        monkeypatch.setattr(nsopt.solvers, "_FORMAT_BLOCK", 10)
+        blocked = self.tiny_pgd(4097)
+        assert blocked.counts.tobytes() == whole.counts.tobytes()
+        assert blocked.values[:, 0].tobytes() == whole.values[:, 0].tobytes()
+        assert not blocked.counts.flags.writeable and not blocked.values.flags.writeable
+
+    def test_a_file_across_blocks_is_the_per_row_format(self, tmp_path):
+        trace = self.tiny_pgd(4097)  # one row past a block of the trace and of the write
+        path = tmp_path / "pgd.csv"
+        trace.write_csv(path, "pgd_fixed", 7, 0.25)
+        rows = [f"pgd_fixed,{k},{fo},{sfo},{po},{lmo},{f_value!r},{f_value - 0.25!r},0.0,7"
+                for (k, fo, sfo, po, lmo), (f_value, _) in zip(trace.counts.tolist(),
+                                                                 trace.values.tolist())]
+        assert path.read_bytes() == "".join(f"{row}\n" for row in [CSV_HEADER, *rows]).encode()
+
+    def test_a_write_failing_after_a_block_leaves_the_old_file(self, tmp_path, monkeypatch):
+        trace = self.tiny_pgd(4097)
+        bodies = [*format_bodies(trace.columns(0.0, False))]
+
+        def bodies_then_failure(columns):
+            yield from bodies[:nsopt.solvers._FORMAT_BLOCK + 1]
+            raise OSError("disk full")
+
+        monkeypatch.setattr(nsopt.solvers, "format_bodies", bodies_then_failure)
+        kept = tmp_path / "kept.csv"
+        kept.write_text("earlier contents\n")
+        with pytest.raises(OSError, match="disk full"):
+            trace.write_csv(kept, "pgd_fixed", 1, 0.0)
+        assert os.listdir(tmp_path) == ["kept.csv"]
+        assert kept.read_text() == "earlier contents\n"
+
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         inst, fo, sd = abs_problem(0.6)
         po = ProjectionOracle.from_set(sd)
